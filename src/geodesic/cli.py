@@ -34,13 +34,30 @@ EXIT_FAIL = 1
 EXIT_ERROR = 2
 EXIT_NONMETRIC = 10
 
+# Largest ``n`` that ``decide`` accepts.  Every leaf LP has C(n, 2)
+# variables and up to 3 * C(n, 3) rows, so a tiny file naming a huge ``n``
+# would otherwise exhaust time or memory.  The paper's claims decide at
+# most 9 vertices (based C8), and based C10 on 11 already takes minutes.
+MAX_DECIDE_VERTICES = 16
 
-def _default_threads() -> int:
-    raw = os.environ.get("GEODESIC_THREADS", "1")
+# Largest worker count for ``-j`` / ``GEODESIC_THREADS``: workers beyond the
+# number of CPUs only add process start-up and duplicated search.
+MAX_THREADS = os.cpu_count() or 1
+
+
+def _thread_count(text: str) -> int:
     try:
-        return max(1, int(raw))
+        value = int(text)
     except ValueError:
-        return 1
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 1 <= value <= MAX_THREADS:
+        raise argparse.ArgumentTypeError(f"{value} is outside 1..{MAX_THREADS} (the CPU count)")
+    return value
+
+
+def _default_threads() -> str:
+    """The ``-j`` default: ``GEODESIC_THREADS`` or 1, checked by argparse like ``-j``."""
+    return os.environ.get("GEODESIC_THREADS", "1")
 
 
 def _read_json(path: str) -> dict:
@@ -91,15 +108,14 @@ def cmd_decide(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: invalid hypergraph: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    if h.n > MAX_DECIDE_VERTICES:
+        print(f"error: {h.n} vertices; decide accepts at most {MAX_DECIDE_VERTICES}", file=sys.stderr)
+        return EXIT_ERROR
     try:
         if args.naive:
             verdict = decide_metric_naive(h)
         else:
-            options = DecideOptions(
-                prune=False if args.no_prune else None,
-                threads=args.threads,
-            )
-            verdict = decide_metric(h, options)
+            verdict = decide_metric(h, DecideOptions(threads=args.threads))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -223,8 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", help="decide whether a hypergraph file is metric (exit 0) or not (exit 10)")
     p.add_argument("hypergraph_file")
     p.add_argument("--naive", action="store_true", help="full 3^k enumeration, no propagation (reference oracle)")
-    p.add_argument("--no-prune", action="store_true", help="disable relaxation pruning")
-    p.add_argument("--threads", "-j", type=int, default=_default_threads(), help="worker processes (default: GEODESIC_THREADS or 1)")
+    p.add_argument(
+        "--threads", "-j", type=_thread_count, default=_default_threads(),
+        help=f"worker processes, at most {MAX_THREADS} (default: GEODESIC_THREADS or 1)",
+    )
     p.add_argument("--output", "-o", default=None, help="write verdict JSON here instead of stdout")
     p.add_argument("--compact", action="store_true", help="compact JSON")
     p.set_defaults(fn=cmd_decide)
@@ -239,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("obstacle", help="certify a graph's edge/non-edge equivalence as an obstacle")
     p.add_argument("graph_file")
-    p.add_argument("--threads", "-j", type=int, default=_default_threads())
+    p.add_argument("--threads", "-j", type=_thread_count, default=_default_threads())
     p.add_argument("--output", "-o", default=None)
     p.add_argument("--compact", action="store_true")
     p.set_defaults(fn=cmd_obstacle)

@@ -20,12 +20,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from .feasibility import (
-    build_feasibility_system,
-    partial_feasibility_system,
-    solve_exact_feasibility,
-    triangle_constraints,
-)
+from .feasibility import build_feasibility_system, solve_exact_feasibility
+
+# Unused here: the benchmark's tracer (bench/tracer.py) hooks this name to
+# report its relaxation metrics, which read 0 since relaxation pruning was
+# removed.  The import goes once the benchmark retires those metrics.
+from .feasibility import partial_feasibility_system  # noqa: F401
 from .hypergraphs import Hypergraph3, Pair, Triple, sorted_triple
 from .metric import MetricSpace, hypergraph_of, validate_metric
 from .orientation import OrientationState
@@ -38,22 +38,25 @@ AUTOMORPHISM_CAP = 2000
 class DecideOptions:
     """Search controls; defaults favour the measured-fastest pipeline.
 
-    ``prune``: solve the relaxation (assigned equalities plus all
-    non-hyperedge strictness rows) every ``prune_every`` decisions and cut
-    the branch when infeasible.  ``None`` resolves to on for triple-wise
-    search and off under core-order branching, where closure conflicts
-    dominate and per-node solves cost more than they save.  Correctness
-    never depends on pruning.
+    ``core_order``: branch over linear orders of a complete core of at
+    least ``CORE_ORDER_MIN`` vertices when there is one.  ``threads``:
+    worker processes for the top-level branches.  Neither changes the
+    verdict or the witness.
     """
 
-    prune: Optional[bool] = None
-    prune_every: int = 1
     core_order: bool = True
     threads: int = 1
 
 
 @dataclass(frozen=True)
 class SearchStats:
+    """Work tallies of one decision.
+
+    ``pruned`` is always 0: it counted branches cut by relaxation pruning,
+    which the search no longer does, and stays so that verdict JSON keeps
+    its ``"pruned"`` key.
+    """
+
     nodes: int = 0
     conflicts: dict[str, int] = field(default_factory=dict)
     leaves_solved: int = 0
@@ -69,7 +72,6 @@ class SearchStats:
             causes,
             self.leaves_solved + other.leaves_solved,
             self.leaves_infeasible + other.leaves_infeasible,
-            self.pruned + other.pruned,
         )
 
 
@@ -87,22 +89,19 @@ class Verdict:
 
 
 class _Counters:
-    __slots__ = ("nodes", "conflicts", "leaves_solved", "leaves_infeasible", "pruned")
+    __slots__ = ("nodes", "conflicts", "leaves_solved", "leaves_infeasible")
 
     def __init__(self) -> None:
         self.nodes = 0
         self.conflicts: dict[str, int] = {}
         self.leaves_solved = 0
         self.leaves_infeasible = 0
-        self.pruned = 0
 
     def conflict(self, cause: str) -> None:
         self.conflicts[cause] = self.conflicts.get(cause, 0) + 1
 
     def freeze(self) -> SearchStats:
-        return SearchStats(
-            self.nodes, dict(self.conflicts), self.leaves_solved, self.leaves_infeasible, self.pruned
-        )
+        return SearchStats(self.nodes, dict(self.conflicts), self.leaves_solved, self.leaves_infeasible)
 
 
 def _witness_space(n: int, solution: dict[Pair, Fraction]) -> MetricSpace:
@@ -231,16 +230,11 @@ def _linear_core_facts(core_order: tuple[int, ...]) -> list[tuple[Triple, int]]:
 
 
 class _Engine:
-    def __init__(self, h: Hypergraph3, opts: DecideOptions):
+    def __init__(self, h: Hypergraph3):
         self.h = h
-        self.opts = opts
         self.state = OrientationState(h)
         self.counters = _Counters()
         self.hyperedges = sorted(h.triples)
-        self.prune_witness: Optional[dict[Pair, Fraction]] = {
-            p: Fraction(2) for p in itertools.combinations(range(h.n), 2)
-        }
-        self.decisions_since_prune = 0
 
     # -- branching ---------------------------------------------------------
 
@@ -260,23 +254,6 @@ class _Engine:
                 best, best_score = t, score
         return best
 
-    def _relaxation_feasible(self) -> bool:
-        # Cached witnesses already satisfy the (fixed) strictness rows;
-        # re-solving is only needed when one breaks a current equality.
-        w = self.prune_witness
-        if w is not None:
-            for t, m in self.state.middles.items():
-                a, b, c = triangle_constraints(t, m)
-                if w[a] + w[b] != w[c]:
-                    break
-            else:
-                return True
-        witness = solve_exact_feasibility(partial_feasibility_system(self.h, self.state.middles))
-        if witness is None:
-            return False
-        self.prune_witness = witness
-        return True
-
     def _leaf(self) -> Optional[MetricSpace]:
         system = build_feasibility_system(self.h, self.state.middles)
         solution = solve_exact_feasibility(system)
@@ -290,7 +267,7 @@ class _Engine:
             raise AssertionError("feasible leaf induced the wrong hypergraph; engine bug")
         return witness
 
-    def search(self, prune: bool) -> Optional[MetricSpace]:
+    def search(self) -> Optional[MetricSpace]:
         if len(self.state.middles) == len(self.hyperedges):
             return self._leaf()
         triple = self._next_triple()
@@ -303,15 +280,7 @@ class _Engine:
                 self.counters.conflict(conflict.cause)
                 self.state.rollback(mark)
                 continue
-            if prune:
-                self.decisions_since_prune += 1
-                if self.decisions_since_prune >= self.opts.prune_every:
-                    self.decisions_since_prune = 0
-                    if not self._relaxation_feasible():
-                        self.counters.pruned += 1
-                        self.state.rollback(mark)
-                        continue
-            witness = self.search(prune)
+            witness = self.search()
             if witness is not None:
                 return witness
             self.state.rollback(mark)
@@ -319,20 +288,18 @@ class _Engine:
 
 
 def _decide_sequential(h: Hypergraph3, opts: DecideOptions) -> Verdict:
-    engine = _Engine(h, opts)
+    engine = _Engine(h)
     core = find_complete_core(h) if opts.core_order else None
 
     if core is None:
-        prune = opts.prune if opts.prune is not None else True
-        witness = engine.search(prune)
+        witness = engine.search()
     else:
-        prune = opts.prune if opts.prune is not None else False
         witness = None
         for order in _core_orders(h, core):
             mark = engine.state.checkpoint()
             engine.counters.nodes += 1
             engine.state.seed_unchecked(_linear_core_facts(order))
-            witness = engine.search(prune)
+            witness = engine.search()
             if witness is not None:
                 break
             engine.state.rollback(mark)

@@ -72,8 +72,8 @@ def build_feasibility_system(h: Hypergraph3, assignment: dict[Triple, int]) -> F
 def partial_feasibility_system(h: Hypergraph3, assignment: dict[Triple, int]) -> FeasibilitySystem:
     """Like :func:`build_feasibility_system` but the assignment may be partial.
 
-    Used for relaxation pruning: constraints only accumulate along a
-    search branch, so infeasibility here already dooms every extension.
+    The system of a partial assignment is a relaxation of that of every
+    total extension: infeasible here means infeasible for all of them.
     """
     eqs = []
     for t in sorted(assignment):

@@ -30,26 +30,24 @@ from .metric import MetricSpace
 
 def _worker(payload: tuple[Hypergraph3, DecideOptions, int, int]):
     h, opts, stride, offset = payload
-    engine = _Engine(h, opts)
+    engine = _Engine(h)
     core = find_complete_core(h) if opts.core_order else None
     hit_index: Optional[int] = None
     witness: Optional[MetricSpace] = None
 
     if core is not None:
-        prune = opts.prune if opts.prune is not None else False
         for idx, order in enumerate(_core_orders(h, core)):
             if idx % stride != offset:
                 continue
             mark = engine.state.checkpoint()
             engine.counters.nodes += 1
             engine.state.seed_unchecked(_linear_core_facts(order))
-            found = engine.search(prune)
+            found = engine.search()
             if found is not None:
                 hit_index, witness = idx, found
                 break
             engine.state.rollback(mark)
     else:
-        prune = opts.prune if opts.prune is not None else True
         first = min(h.triples)
         for idx, middle in enumerate(first):
             if idx % stride != offset:
@@ -58,7 +56,7 @@ def _worker(payload: tuple[Hypergraph3, DecideOptions, int, int]):
             engine.counters.nodes += 1
             conflict = engine.state.assert_fact(first, middle)
             if conflict is None:
-                found = engine.search(prune)
+                found = engine.search()
                 if found is not None:
                     hit_index, witness = idx, found
                     break

@@ -170,13 +170,10 @@ def test_criterion_8_triangle_free_structure():
             assert cls.d2 <= {(0, g.n - 1)}
 
 
-def test_criterion_9_enumeration():
+def test_criterion_9_enumeration(enumeration_n6):
     with criterion("criterion 9: enumeration empty at 3 vertices, rediscovery at 6"):
         res3 = enumerate_minimal_nonmetric(3)
         assert res3.found == () and not res3.truncated
-        res6 = enumerate_minimal_nonmetric(6, budget=900.0)
+        res6 = enumeration_n6
         target = canonical_form(based_hypergraph(complement(path_graph(5))))
-        assert any(canonical_form(h) == target for h in res6.found), (
-            "based complement-of-5-path not rediscovered"
-            + (" (budget exhausted)" if res6.truncated else "")
-        )
+        assert any(canonical_form(h) == target for h in res6.found), "based complement-of-5-path not rediscovered"

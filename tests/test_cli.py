@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from geodesic.cli import main
+import geodesic.cli as cli
+import geodesic.parallel as parallel
+from geodesic.cli import MAX_DECIDE_VERTICES, MAX_THREADS, _default_threads, main
 from geodesic.hypergraphs import based_hypergraph, complete_graph, cycle_graph
 from geodesic.serialization import dumps, graph_to_dict, hypergraph_to_dict
 
@@ -47,6 +49,56 @@ class TestDecideCommand:
         out = tmp_path / "verdict.json"
         assert main(["decide", c5_file, "-o", str(out)]) == 0
         assert json.loads(out.read_text())["verdict"] == "metric"
+
+    def test_huge_n_rejected_before_any_work(self, tmp_path, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("decision started on an over-size hypergraph")
+
+        monkeypatch.setattr(cli, "decide_metric", no_work)
+        monkeypatch.setattr(cli, "decide_metric_naive", no_work)
+        p = tmp_path / "huge.json"
+        p.write_text(dumps({"n": 1000000000, "triples": []}))
+        assert main(["decide", str(p)]) == 2
+        assert main(["decide", str(p), "--naive"]) == 2
+        assert "at most" in capsys.readouterr().err
+
+    def test_vertex_cap_boundary(self, tmp_path, capsys):
+        for n, code in ((MAX_DECIDE_VERTICES, 0), (MAX_DECIDE_VERTICES + 1, 2)):
+            p = tmp_path / f"empty{n}.json"
+            p.write_text(dumps({"n": n, "triples": []}))
+            assert main(["decide", str(p)]) == code
+
+
+class TestThreadBound:
+    @pytest.fixture(autouse=True)
+    def no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", refuse)
+
+    def test_default_reads_environment(self, monkeypatch):
+        monkeypatch.delenv("GEODESIC_THREADS", raising=False)
+        assert _default_threads() == "1"
+        monkeypatch.setenv("GEODESIC_THREADS", "3")
+        assert _default_threads() == "3"
+
+    @pytest.mark.parametrize("value", [str(MAX_THREADS + 1), "1000000", "0", "-1", "many"])
+    def test_flag_out_of_range(self, c5_file, value, capsys):
+        assert main(["decide", c5_file, "-j", value]) == 2
+        assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [str(MAX_THREADS + 1), "1000000", "0", "many"])
+    def test_environment_out_of_range(self, c5_file, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("GEODESIC_THREADS", value)
+        assert main(["decide", c5_file]) == 2
+        g = tmp_path / "c5g.json"
+        g.write_text(dumps(graph_to_dict(cycle_graph(5))))
+        assert main(["obstacle", str(g)]) == 2
+
+    def test_flag_overrides_environment(self, c5_file, monkeypatch, capsys):
+        monkeypatch.setenv("GEODESIC_THREADS", str(MAX_THREADS + 1))
+        assert main(["decide", c5_file, "-j", "1"]) == 0
 
 
 class TestConstructCommand:

@@ -121,28 +121,22 @@ class TestOracleAgreement:
     def test_option_variants_agree(self):
         h = based_hypergraph(cycle_graph(5))
         baseline = decide_metric(h)
-        for opts in (
-            DecideOptions(prune=True),
-            DecideOptions(prune=False),
-            DecideOptions(core_order=False),
-            DecideOptions(prune=True, prune_every=3, core_order=False),
-        ):
-            assert decide_metric(h, opts).metric == baseline.metric
+        assert decide_metric(h, DecideOptions(core_order=False)).metric == baseline.metric
         nm = NONMETRIC_6V_8T
-        assert not decide_metric(nm, DecideOptions(core_order=False, prune=False)).metric
-        assert not decide_metric(nm, DecideOptions(prune=True, prune_every=2)).metric
+        assert not decide_metric(nm, DecideOptions(core_order=False)).metric
+        assert not decide_metric(nm).metric
 
 
 class TestDeterminism:
     def test_identical_runs(self):
         h = based_hypergraph(cycle_graph(5))
-        a = decide_metric(h, DecideOptions(prune=True, core_order=False))
-        b = decide_metric(h, DecideOptions(prune=True, core_order=False))
+        a = decide_metric(h, DecideOptions(core_order=False))
+        b = decide_metric(h, DecideOptions(core_order=False))
         assert a is b  # memoized
         from geodesic.decider import clear_decision_cache
 
         clear_decision_cache()
-        c = decide_metric(h, DecideOptions(prune=True, core_order=False))
+        c = decide_metric(h, DecideOptions(core_order=False))
         assert c.metric == a.metric and c.witness == a.witness and c.stats == a.stats
 
 

@@ -81,9 +81,12 @@ class TestEnumeration:
         res = enumerate_minimal_nonmetric(6, budget=0.0)
         assert res.truncated
 
-    def test_found_entries_are_minimal(self):
-        # spot-check the first few findings of a short n=6 run
-        res = enumerate_minimal_nonmetric(6, budget=20.0)
+    def test_found_entries_are_minimal(self, enumeration_n6):
+        # spot-check the first few findings of the complete n=6 run
+        res = enumeration_n6
+        assert not res.truncated
+        assert len(res.found) == 748
+        assert res.classes_examined == 2136
         for h in res.found[:3]:
             assert not decide_metric(h).metric
             for v in range(h.n):

@@ -4,10 +4,6 @@ from geodesic.metric import validate_metric
 from geodesic.replay import CLAIMS, ReplayContext, run_manifest
 
 
-def fast_ctx():
-    return ReplayContext(suite_cases=50, enumeration_budget=30.0, oracle_sample=20)
-
-
 class TestManifest:
     def test_claim_ids_unique(self):
         ids = [c.claim_id for c in CLAIMS]

@@ -95,3 +95,9 @@ class TestVerdictRoundTrip:
         assert "witness" not in data
         again = verdict_from_dict(loads(dumps(data)))
         assert not again.metric and again.witness is None
+        # "pruned" is always 0 now; older files with a nonzero count
+        # still load and round-trip
+        assert data["stats"]["pruned"] == 0
+        data["stats"]["pruned"] = 14
+        old = verdict_from_dict(loads(dumps(data)))
+        assert old.stats.pruned == 14 and verdict_to_dict(old) == data
