@@ -40,6 +40,13 @@ EXIT_NONMETRIC = 10
 # most 9 vertices (based C8), and based C10 on 11 already takes minutes.
 MAX_DECIDE_VERTICES = 16
 
+# Most points in a ``construct`` chart: ``odd-cycle --s N`` has 2N + 2,
+# ``path --k N`` has N + 1.  Each chart is re-verified with
+# ``hypergraph_of``, whose time grows about as the fourth power of the
+# size (``path --k 40`` takes seconds, ``--k 60`` about ten), so a large
+# N would otherwise hang the command.
+MAX_CHART_POINTS = 41
+
 # Largest worker count for ``-j`` / ``GEODESIC_THREADS``: workers beyond the
 # number of CPUs only add process start-up and duplicated search.
 MAX_THREADS = os.cpu_count() or 1
@@ -123,15 +130,22 @@ def cmd_decide(args: argparse.Namespace) -> int:
     return EXIT_OK if verdict.metric else EXIT_NONMETRIC
 
 
+def _chart_size(points: int) -> None:
+    if points > MAX_CHART_POINTS:
+        raise ValueError(f"the chart would have {points} points; construct makes at most {MAX_CHART_POINTS}")
+
+
 def cmd_construct(args: argparse.Namespace) -> int:
     try:
         if args.name == "odd-cycle":
             if args.s is None:
                 raise ValueError("odd-cycle needs --s")
+            _chart_size(2 * args.s + 2)
             m = odd_cycle_metric(args.s)
         elif args.name == "path":
             if args.k is None:
                 raise ValueError("path needs --k")
+            _chart_size(args.k + 1)
             m = path_based_metric(args.k)
         elif args.name == "c4":
             m = c4_based_metric()
@@ -207,10 +221,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_paper(args: argparse.Namespace) -> int:
-    ctx = ReplayContext(
-        suite_cases=args.cases,
-        enumeration_budget=args.enumeration_budget,
-    )
+    ctx = ReplayContext(suite_cases=args.cases)
     t0 = time.monotonic()
     try:
         report = run_manifest(only=args.claim, ctx=ctx)
@@ -271,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-paper", help="replay every supported claim and report pass/fail")
     p.add_argument("--claim", default=None, help="run a single claim by id")
     p.add_argument("--cases", type=int, default=1000, help="cases per randomized property suite")
-    p.add_argument("--enumeration-budget", type=float, default=900.0)
     p.set_defaults(fn=cmd_verify_paper)
 
     return parser

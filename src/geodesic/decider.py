@@ -287,24 +287,51 @@ class _Engine:
         return None
 
 
-def _decide_sequential(h: Hypergraph3, opts: DecideOptions) -> Verdict:
+def _explore(
+    h: Hypergraph3, core_order: bool, stride: int = 1, offset: int = 0
+) -> tuple[Optional[int], Optional[MetricSpace], SearchStats]:
+    """Search the top-level branches of ``h`` in their global order.
+
+    The branches are the core orders of :func:`_core_orders` when
+    ``core_order`` is set and ``h`` has a complete core, else the three
+    middles of the first hyperedge.  Every branch is counted, conflicted
+    ones too, so a hit index names the same branch for every stride;
+    only branches with ``index % stride == offset`` are searched.
+    Returns the index and witness of the first hit (``None, None`` when
+    there is none) and the work tallies.
+    """
     engine = _Engine(h)
-    core = find_complete_core(h) if opts.core_order else None
+    state, counters = engine.state, engine.counters
+    if not h.triples:  # no branch: the root is the one leaf, counted as branch 0
+        witness = engine.search() if offset == 0 else None
+        return (None if witness is None else 0), witness, counters.freeze()
 
-    if core is None:
+    core = find_complete_core(h) if core_order else None
+    root = min(h.triples)
+    branches = _core_orders(h, core) if core is not None else root
+    for index, branch in enumerate(branches):
+        if index % stride != offset:
+            continue
+        mark = state.checkpoint()
+        counters.nodes += 1
+        if core is not None:
+            state.seed_unchecked(_linear_core_facts(branch))
+        else:
+            conflict = state.assert_fact(root, branch)
+            if conflict is not None:
+                counters.conflict(conflict.cause)
+                state.rollback(mark)
+                continue
         witness = engine.search()
-    else:
-        witness = None
-        for order in _core_orders(h, core):
-            mark = engine.state.checkpoint()
-            engine.counters.nodes += 1
-            engine.state.seed_unchecked(_linear_core_facts(order))
-            witness = engine.search()
-            if witness is not None:
-                break
-            engine.state.rollback(mark)
+        if witness is not None:
+            return index, witness, counters.freeze()
+        state.rollback(mark)
+    return None, None, counters.freeze()
 
-    return Verdict(witness is not None, witness, engine.counters.freeze())
+
+def _decide_sequential(h: Hypergraph3, opts: DecideOptions) -> Verdict:
+    _, witness, stats = _explore(h, opts.core_order)
+    return Verdict(witness is not None, witness, stats)
 
 
 @lru_cache(maxsize=256)

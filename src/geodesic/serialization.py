@@ -115,17 +115,32 @@ def verdict_to_dict(v: Verdict) -> dict:
     return out
 
 
+def _object(data: dict, key: str) -> dict:
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise ValueError(f"'{key}' must be an object")
+    return value
+
+
+def _count(data: dict, key: str) -> int:
+    value = data.get(key, 0)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"count {key!r} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def verdict_from_dict(data: dict) -> Verdict:
     if not isinstance(data, dict) or data.get("verdict") not in ("metric", "nonmetric"):
         raise ValueError("verdict JSON needs 'verdict': 'metric' or 'nonmetric'")
-    stats_data = data.get("stats", {})
-    leaves = stats_data.get("leaves", {})
+    stats_data = _object(data, "stats")
+    leaves = _object(stats_data, "leaves")
+    conflicts = _object(stats_data, "conflicts")
     stats = SearchStats(
-        nodes=stats_data.get("nodes", 0),
-        conflicts=dict(stats_data.get("conflicts", {})),
-        leaves_solved=leaves.get("solved", 0),
-        leaves_infeasible=leaves.get("infeasible", 0),
-        pruned=stats_data.get("pruned", 0),
+        nodes=_count(stats_data, "nodes"),
+        conflicts={cause: _count(conflicts, cause) for cause in conflicts},
+        leaves_solved=_count(leaves, "solved"),
+        leaves_infeasible=_count(leaves, "infeasible"),
+        pruned=_count(stats_data, "pruned"),
     )
     witness = metric_from_dict(data["witness"]) if "witness" in data else None
     return Verdict(data["verdict"] == "metric", witness, stats)

@@ -4,7 +4,7 @@ import pytest
 
 import geodesic.cli as cli
 import geodesic.parallel as parallel
-from geodesic.cli import MAX_DECIDE_VERTICES, MAX_THREADS, _default_threads, main
+from geodesic.cli import MAX_CHART_POINTS, MAX_DECIDE_VERTICES, MAX_THREADS, _default_threads, main
 from geodesic.hypergraphs import based_hypergraph, complete_graph, cycle_graph
 from geodesic.serialization import dumps, graph_to_dict, hypergraph_to_dict
 
@@ -119,6 +119,22 @@ class TestConstructCommand:
 
     def test_missing_param(self, capsys):
         assert main(["construct", "odd-cycle"]) == 2
+
+    def test_chart_size_cap_boundary(self, monkeypatch, capsys):
+        # odd-cycle --s N has 2N + 2 points, path --k N has N + 1
+        largest_s = (MAX_CHART_POINTS - 2) // 2
+        assert main(["construct", "odd-cycle", "--s", str(largest_s)]) == 0
+        assert main(["construct", "path", "--k", str(MAX_CHART_POINTS - 1), "--compact"]) == 0
+        assert len(json.loads(capsys.readouterr().out.splitlines()[-1])["points"]) == MAX_CHART_POINTS
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("an over-size chart was built")
+
+        monkeypatch.setattr(cli, "odd_cycle_metric", no_work)
+        monkeypatch.setattr(cli, "path_based_metric", no_work)
+        assert main(["construct", "odd-cycle", "--s", str(largest_s + 1)]) == 2
+        assert main(["construct", "path", "--k", str(MAX_CHART_POINTS)]) == 2
+        assert "at most" in capsys.readouterr().err
 
 
 class TestAnalyzeCommand:

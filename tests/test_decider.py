@@ -140,10 +140,29 @@ class TestDeterminism:
         assert c.metric == a.metric and c.witness == a.witness and c.stats == a.stats
 
 
+# Metric, with no complete core; drawn like the benchmark's random-n7 pool
+# (a random density, then each triple independently).  Of the three middles
+# of its first hyperedge, the first leads to no witness and the other two to
+# different witnesses, so two workers both hit and the merge must take
+# branch 1.
+METRIC_7V_NO_CORE = Hypergraph3.from_triples(
+    7,
+    [(0, 1, 2), (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 3, 4), (0, 4, 6), (1, 2, 3), (1, 2, 4), (4, 5, 6)],
+)
+
+
 class TestParallel:
     def test_threads_match_sequential(self):
-        for h in (based_hypergraph(cycle_graph(5)), based_hypergraph(cycle_graph(6)), NONMETRIC_6V_8T):
+        edgeless = Hypergraph3.from_triples(5, [])
+        for h in (
+            based_hypergraph(cycle_graph(5)),
+            based_hypergraph(cycle_graph(6)),
+            NONMETRIC_6V_8T,
+            edgeless,
+            METRIC_7V_NO_CORE,
+        ):
             seq = decide_metric(h)
             par = decide_metric(h, DecideOptions(threads=2))
             assert seq.metric == par.metric
             assert seq.witness == par.witness
+            assert par.stats.nodes >= seq.stats.nodes

@@ -14,6 +14,7 @@ from geodesic.hypergraphs import (
     cycle_graph,
     path_graph,
 )
+from geodesic.replay import enumeration_n6
 
 
 def relabeled(h: Hypergraph3, perm: list[int]) -> Hypergraph3:
@@ -81,9 +82,9 @@ class TestEnumeration:
         res = enumerate_minimal_nonmetric(6, budget=0.0)
         assert res.truncated
 
-    def test_found_entries_are_minimal(self, enumeration_n6):
+    def test_found_entries_are_minimal(self):
         # spot-check the first few findings of the complete n=6 run
-        res = enumeration_n6
+        res = enumeration_n6()
         assert not res.truncated
         assert len(res.found) == 748
         assert res.classes_examined == 2136

@@ -101,3 +101,19 @@ class TestVerdictRoundTrip:
         data["stats"]["pruned"] = 14
         old = verdict_from_dict(loads(dumps(data)))
         assert old.stats.pruned == 14 and verdict_to_dict(old) == data
+
+    def test_rejects_malformed_stats(self):
+        for stats in (
+            5,
+            {"leaves": []},
+            {"conflicts": "many"},
+            {"nodes": "x"},
+            {"nodes": -1},
+            {"nodes": True},
+            {"nodes": 1.5},
+            {"leaves": {"solved": None}},
+            {"conflicts": {"non-hyperedge": "2"}},
+            {"pruned": -3},
+        ):
+            with pytest.raises(ValueError):
+                verdict_from_dict({"verdict": "nonmetric", "stats": stats})
