@@ -42,9 +42,9 @@ MAX_DECIDE_VERTICES = 16
 
 # Most points in a ``construct`` chart: ``odd-cycle --s N`` has 2N + 2,
 # ``path --k N`` has N + 1.  Each chart is re-verified with
-# ``hypergraph_of``, whose time grows about as the fourth power of the
-# size (``path --k 40`` takes seconds, ``--k 60`` about ten), so a large
-# N would otherwise hang the command.
+# ``hypergraph_of``, whose time grows about as the cube of the size
+# (``path --k 40`` takes about 0.3 s, ``--k 80`` over 2 s), so a large N
+# would otherwise hang the command.
 MAX_CHART_POINTS = 41
 
 # Largest worker count for ``-j`` / ``GEODESIC_THREADS``: workers beyond the

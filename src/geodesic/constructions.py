@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .hypergraphs import Graph, based_hypergraph, cycle_graph, path_graph
-from .metric import MetricSpace, hypergraph_of, induced_subspace, validate_metric
+from .metric import MetricSpace, hypergraph_of, validate_metric
 
 
 class ConstructionError(RuntimeError):
@@ -32,6 +32,15 @@ def _verified(m: MetricSpace, g: Graph, what: str) -> MetricSpace:
     return m
 
 
+def _line_apex_chart(points: int, s: int) -> MetricSpace:
+    """Core points 0..points-1 on a line (d(i,j) = |i - j|) plus an apex x
+    at distance s from even points and s+1 from odd ones."""
+    labels = [str(i) for i in range(points)] + ["x"]
+    rows = [[Fraction(abs(j - i)) for j in range(points)] + [Fraction(s + i % 2)] for i in range(points)]
+    rows.append([Fraction(s + k % 2) for k in range(points)] + [Fraction(0)])
+    return validate_metric(labels, rows)
+
+
 def odd_cycle_metric(s: int) -> MetricSpace:
     """Realize the hypergraph based on the odd cycle with 2s+1 vertices.
 
@@ -43,32 +52,20 @@ def odd_cycle_metric(s: int) -> MetricSpace:
     if s < 1:
         raise ValueError("s must be at least 1")
     n = 2 * s + 1
-    labels = [str(i) for i in range(n)] + ["x"]
-    size = n + 1
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(n):
-        for j in range(n):
-            rows[i][j] = Fraction(abs(j - i))
-    for k in range(n):
-        w = Fraction(s) if k % 2 == 0 else Fraction(s + 1)
-        rows[k][n] = w
-        rows[n][k] = w
-    m = validate_metric(labels, rows)
-    return _verified(m, cycle_graph(n), f"odd_cycle_metric({s})")
+    return _verified(_line_apex_chart(n, s), cycle_graph(n), f"odd_cycle_metric({s})")
 
 
 def path_based_metric(k: int) -> MetricSpace:
     """Realize the hypergraph based on the path 0-1-...-(k-1).
 
-    Restriction of ``odd_cycle_metric(k)`` to the first k core points
-    plus the apex; with that choice of cycle length the pair {0, k-1}
+    The first k core points of ``odd_cycle_metric(k)`` plus its apex,
+    built directly: the apex is at distance k from even points and k+1
+    from odd ones.  With that choice of cycle length the pair {0, k-1}
     stays a non-edge.
     """
     if k < 2:
         raise ValueError("path needs at least 2 vertices")
-    big = odd_cycle_metric(k)
-    m = induced_subspace(big, [str(i) for i in range(k)] + ["x"])
-    return _verified(m, path_graph(k), f"path_based_metric({k})")
+    return _verified(_line_apex_chart(k, k), path_graph(k), f"path_based_metric({k})")
 
 
 def c4_based_metric() -> MetricSpace:

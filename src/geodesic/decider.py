@@ -241,17 +241,17 @@ class _Engine:
     def _next_triple(self) -> Optional[Triple]:
         """Unassigned hyperedge touching the most already-oriented
         vertices; ties broken lexicographically."""
-        touched = set()
-        for t in self.state.middles:
-            touched.update(t)
+        middles, touches = self.state.middles, self.state.touches
         best: Optional[Triple] = None
         best_score = -1
         for t in self.hyperedges:
-            if t in self.state.middles:
+            if t in middles:
                 continue
-            score = sum(1 for v in t if v in touched)
+            score = (touches[t[0]] > 0) + (touches[t[1]] > 0) + (touches[t[2]] > 0)
             if score > best_score:
                 best, best_score = t, score
+                if score == 3:
+                    break
         return best
 
     def _leaf(self) -> Optional[MetricSpace]:

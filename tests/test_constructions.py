@@ -12,6 +12,7 @@ from geodesic.metric import (
     betweenness_triples,
     check_menger,
     hypergraph_of,
+    induced_subspace,
     line,
     validate_metric,
 )
@@ -58,6 +59,11 @@ class TestPathBasedMetric:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             path_based_metric(1)
+
+    def test_equals_restricted_odd_cycle_chart(self):
+        for k in range(2, 13):
+            restricted = induced_subspace(odd_cycle_metric(k), [str(i) for i in range(k)] + ["x"])
+            assert path_based_metric(k) == restricted, k
 
 
 class TestC4Chart:

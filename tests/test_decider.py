@@ -5,6 +5,7 @@ import pytest
 
 from geodesic.decider import (
     DecideOptions,
+    SearchStats,
     decide_metric,
     decide_metric_naive,
     find_complete_core,
@@ -77,6 +78,22 @@ class TestPaperInstances:
 
     def test_frozen_nonmetric_instance(self):
         assert not decide_metric(NONMETRIC_6V_8T).metric
+
+
+# Search statistics of the default decision, pinned so that any change to
+# the order in which closure derives facts, or to the branching, shows.
+PAPER_STATS = [
+    (based_hypergraph(cycle_graph(6)), SearchStats(2511, {"non-hyperedge": 1686, "middle-clash": 108})),
+    (based_hypergraph(cycle_graph(7)), SearchStats(13, {"non-hyperedge": 5}, leaves_solved=1)),
+    (based_hypergraph(cycle_graph(8)), SearchStats(9867, {"non-hyperedge": 6290, "middle-clash": 728})),
+    (based_hypergraph(complement(path_graph(5))), SearchStats(576, {"non-hyperedge": 359, "middle-clash": 45})),
+    (NONMETRIC_6V_8T, SearchStats(129, {"non-hyperedge": 75, "middle-clash": 5}, leaves_infeasible=7)),
+]
+
+
+@pytest.mark.parametrize("h, stats", PAPER_STATS, ids=["C6", "C7", "C8", "P5-bar", "6v8t"])
+def test_paper_instance_stats_pinned(h, stats):
+    assert decide_metric(h).stats == stats
 
 
 class TestMinimality:
