@@ -34,9 +34,11 @@ EXIT_FAIL = 1
 EXIT_ERROR = 2
 EXIT_NONMETRIC = 10
 
-# Largest ``n`` that ``decide`` accepts.  Every leaf LP has C(n, 2)
-# variables and up to 3 * C(n, 3) rows, so a tiny file naming a huge ``n``
-# would otherwise exhaust time or memory.  The paper's claims decide at
+# Largest ``n`` that ``decide`` accepts, and the largest based hypergraph
+# (graph vertices + 1) that ``obstacle`` builds.  Every leaf LP has
+# C(n, 2) variables and up to 3 * C(n, 3) rows, and a based hypergraph
+# lists C(n, 3) triples, so a tiny file naming a huge ``n`` would
+# otherwise exhaust time or memory.  The paper's claims decide at
 # most 9 vertices (based C8), and based C10 on 11 already takes minutes.
 MAX_DECIDE_VERTICES = 16
 
@@ -163,6 +165,10 @@ def cmd_obstacle(args: argparse.Namespace) -> int:
         g = ser.graph_from_dict(_read_json(args.graph_file))
     except ValueError as exc:
         print(f"error: invalid graph: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    # The based hypergraphs of g and of its complement have n + 1 vertices.
+    if g.n + 1 > MAX_DECIDE_VERTICES:
+        print(f"error: {g.n} vertices; obstacle accepts at most {MAX_DECIDE_VERTICES - 1}", file=sys.stderr)
         return EXIT_ERROR
     options = DecideOptions(threads=args.threads)
     try:

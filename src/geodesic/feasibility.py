@@ -8,14 +8,20 @@ is positively homogeneous, so strict feasibility is equivalent to
 feasibility with unit slacks: any strict solution scales to one.
 
 Solved by a phase-1 simplex with Bland's rule (deterministic, cycle
-free), run on an integer tableau with fraction-free pivoting: after a
-pivot every entry is divided exactly by the previous pivot, so entries
-stay integers and never touch gcd-heavy Fraction arithmetic.
+free) over exact integers.  Each tableau row is stored sparsely, as its
+nonzero integer entries over its own positive denominator, so a pivot
+rewrites only the rows with a nonzero entry in the entering column and
+divides each rewritten row by the gcd of its entries and denominator.
+The phase-1 objective is one more such row.  The denominators are
+positive and cancel in the cross-multiplied ratio test, so every
+entering and leaving choice, and so the vertex found, is the one the
+same Bland pivots pick on the dense tableau.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -143,89 +149,123 @@ def solve_nonneg_feasibility(
     num_slack = len(inequalities)
     slack_at = num_vars
     artif_start = num_vars + num_slack
+    rhs_col = artif_start
 
-    # Normalize rows to nonnegative rhs.  A basic column must be +identity,
-    # so inequalities with rhs <= 0 are negated to give their slack a +1
-    # coefficient and a valid basic start; rhs > 0 keeps the -1 slack and
-    # starts on an artificial.  tag > 0 / < 0: slack sign (index
-    # abs(tag)-1); tag 0: equality (always artificial).
-    specs: list[tuple[list[int], int, int]] = []
-    for si, (coeffs, rhs) in enumerate(inequalities):
-        if rhs <= 0:
-            specs.append(([-x for x in coeffs], -rhs, si + 1))
-        else:
-            specs.append((list(coeffs), rhs, -(si + 1)))
-    for coeffs, rhs in equalities:
-        row = list(coeffs)
-        if rhs < 0:
-            row = [-x for x in row]
-            rhs = -rhs
-        specs.append((row, rhs, 0))
-
+    # Row i is a sparse map {column: integer} over its own positive
+    # denominator dens[i]: tableau entry (i, j) = rows[i].get(j, 0) / dens[i].
+    # Zeros are never stored; the rhs sits under rhs_col.  Every row starts
+    # with a nonnegative rhs.  A basic column must be +identity, so an
+    # inequality a.y - s = rhs (surplus s >= 0) with rhs <= 0 is negated,
+    # giving its slack a +1 and a valid basic start; with rhs > 0 it keeps
+    # the -1 slack and starts on an artificial, as every equality does.
     # Artificials are tracked through basis markers only (index
     # artif_start + row); their columns are never consulted once they
-    # leave, so the tableau does not store them.
-    width = artif_start + 1
-    rhs_col = width - 1
-    rows: list[list[int]] = []
+    # leave, so no row stores them.
+    rows: list[dict[int, int]] = []
     basis: list[int] = []
-    for ri, (coeffs, rhs, tag) in enumerate(specs):
-        full = [0] * width
-        full[:num_vars] = coeffs
-        if tag != 0:
-            full[slack_at + abs(tag) - 1] = 1 if tag > 0 else -1
-        if tag > 0:
-            basis.append(slack_at + tag - 1)
-        else:
-            basis.append(artif_start + ri)
-        full[rhs_col] = rhs
-        rows.append(full)
+    for si, (coeffs, rhs) in enumerate(inequalities):
+        sign = -1 if rhs <= 0 else 1
+        row = {j: sign * c for j, c in enumerate(coeffs) if c}
+        row[slack_at + si] = -sign
+        if rhs:
+            row[rhs_col] = sign * rhs
+        rows.append(row)
+        basis.append(slack_at + si if rhs <= 0 else artif_start + si)
+    for coeffs, rhs in equalities:
+        sign = -1 if rhs < 0 else 1
+        row = {j: sign * c for j, c in enumerate(coeffs) if c}
+        if rhs:
+            row[rhs_col] = sign * rhs
+        basis.append(artif_start + len(rows))
+        rows.append(row)
+    dens = [1] * len(rows)
 
-    den = 1  # previous pivot; real tableau value = rows[i][j] / den
-    while True:
-        art_rows = [i for i, b in enumerate(basis) if b >= artif_start]
-        if all(rows[i][rhs_col] == 0 for i in art_rows):
-            break
+    # Phase-1 objective row: the sum of the artificial-basic rows, kept
+    # as one more sparse row over obj_den and pivoted like the others, so
+    # it stays that sum as artificials leave.  Its entry in a column is
+    # minus that column's phase-1 reduced cost.
+    obj: dict[int, int] = {}
+    for row, b in zip(rows, basis):
+        if b >= artif_start:
+            for j, v in row.items():
+                obj[j] = obj.get(j, 0) + v
+    obj = {j: v for j, v in obj.items() if v}
+    obj_den = 1
+
+    # The basic artificials' values are nonnegative, so they are all zero
+    # exactly when their sum, the objective's rhs, is.
+    while obj.get(rhs_col, 0):
         # Entering (Bland): smallest non-artificial column whose phase-1
-        # reduced cost is negative, i.e. column sum over artificial basic
-        # rows is positive.  Artificials never re-enter.
-        entering = -1
-        for j in range(artif_start):
-            if sum(rows[i][j] for i in art_rows) > 0:
-                entering = j
-                break
+        # reduced cost is negative.  Artificials never re-enter.
+        entering = min((j for j, v in obj.items() if v > 0 and j < artif_start), default=-1)
         if entering < 0:
             return None  # phase-1 optimum positive: infeasible
         # Leaving (Bland): min ratio, ties by smallest basic variable.
+        # The row denominators cancel in the cross-multiplied ratio test.
+        # Only the rows with a nonzero entry in that column change.
         leave = -1
-        for i in range(len(rows)):
-            a = rows[i][entering]
-            if a <= 0:
+        hits = []
+        for i, row in enumerate(rows):
+            a = row.get(entering)
+            if a is None:
+                continue
+            hits.append((i, row, a))
+            if a < 0:
                 continue
             if leave < 0:
                 leave = i
                 continue
-            diff = rows[i][rhs_col] * rows[leave][entering] - rows[leave][rhs_col] * a
+            diff = row.get(rhs_col, 0) * rows[leave][entering] - rows[leave].get(rhs_col, 0) * a
             if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
                 leave = i
         if leave < 0:
             raise RuntimeError("phase-1 objective unbounded; solver bug")
-        piv = rows[leave][entering]
+        if basis[leave] == entering:
+            # A basic column has reduced cost 0: the objective row is stale,
+            # and pivoting again would change nothing, forever.
+            raise RuntimeError("entering column is already basic; solver bug")
         prow = rows[leave]
-        for i, row in enumerate(rows):
-            if i == leave:
-                continue
-            f = row[entering]
-            for j in range(width):
-                q, r = divmod(row[j] * piv - f * prow[j], den)
-                if r:
-                    raise RuntimeError("fraction-free pivot lost exactness; solver bug")
-                row[j] = q
-        den = piv
+        piv = prow[entering]
+        for i, row, f in hits:
+            if i != leave:
+                dens[i] = _pivot_row(row, dens[i], f, piv, prow)
+        obj_den = _pivot_row(obj, obj_den, obj[entering], piv, prow)
+        # The pivot row itself becomes prow / piv.
+        g = math.gcd(*prow.values())
+        if g > 1:
+            for j in prow:
+                prow[j] //= g
+        dens[leave] = piv // g
         basis[leave] = entering
 
     result = [Fraction(0)] * num_vars
     for i, b in enumerate(basis):
         if b < num_vars:
-            result[b] = Fraction(rows[i][rhs_col], den)
+            result[b] = Fraction(rows[i].get(rhs_col, 0), dens[i])
     return result
+
+
+def _pivot_row(row: dict[int, int], den: int, f: int, piv: int, prow: dict[int, int]) -> int:
+    """Eliminate the pivot column from ``row`` in place; return its new denominator.
+
+    ``row`` (over ``den``) has entry ``f`` in the pivot column and the pivot
+    row ``prow`` has ``piv`` there: row <- row * piv - f * prow over
+    den * piv, then both are divided by their gcd.
+    """
+    if piv != 1:
+        for j in row:
+            row[j] *= piv
+        den *= piv
+    for j, v in prow.items():
+        x = row.get(j, 0) - f * v
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+    if den > 1:
+        g = math.gcd(den, *row.values())
+        if g > 1:
+            for j in row:
+                row[j] //= g
+            den //= g
+    return den

@@ -173,6 +173,21 @@ class TestObstacleCommand:
         assert data["status"] == "undetermined"
         assert "metric" in data["reason"]
 
+    def test_vertex_cap_boundary(self, tmp_path, monkeypatch, capsys):
+        seen = []
+
+        def no_decision(g, options=None):
+            seen.append(g.n)
+            raise cli.ObstacleRouteInapplicable("no decision in this test")
+
+        monkeypatch.setattr(cli, "certify_obstacle", no_decision)
+        for n, code in ((MAX_DECIDE_VERTICES - 1, 0), (MAX_DECIDE_VERTICES, 2), (1000000000, 2)):
+            p = tmp_path / f"g{n}.json"
+            p.write_text(dumps({"n": n, "edges": [[0, 1]]}))
+            assert main(["obstacle", str(p)]) == code
+        assert seen == [MAX_DECIDE_VERTICES - 1]
+        assert "at most" in capsys.readouterr().err
+
     def test_k3_inapplicable(self, tmp_path, capsys):
         p = tmp_path / "k3.json"
         p.write_text(dumps(graph_to_dict(complete_graph(3))))

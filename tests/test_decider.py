@@ -96,6 +96,40 @@ def test_paper_instance_stats_pinned(h, stats):
     assert decide_metric(h).stats == stats
 
 
+# Witness distance matrices of the default decision on based C7 and C9:
+# the cycle's vertices on a unit-spaced line, the apex last.  Pinned so
+# that a solver change moving the leaf LP's vertex shows.
+WITNESS_C7 = [
+    [0, 1, 2, 3, 4, 5, 6, 3],
+    [1, 0, 1, 2, 3, 4, 5, 4],
+    [2, 1, 0, 1, 2, 3, 4, 3],
+    [3, 2, 1, 0, 1, 2, 3, 4],
+    [4, 3, 2, 1, 0, 1, 2, 3],
+    [5, 4, 3, 2, 1, 0, 1, 4],
+    [6, 5, 4, 3, 2, 1, 0, 3],
+    [3, 4, 3, 4, 3, 4, 3, 0],
+]
+WITNESS_C9 = [
+    [0, 1, 2, 3, 4, 5, 6, 7, 8, 4],
+    [1, 0, 1, 2, 3, 4, 5, 6, 7, 5],
+    [2, 1, 0, 1, 2, 3, 4, 5, 6, 4],
+    [3, 2, 1, 0, 1, 2, 3, 4, 5, 5],
+    [4, 3, 2, 1, 0, 1, 2, 3, 4, 4],
+    [5, 4, 3, 2, 1, 0, 1, 2, 3, 5],
+    [6, 5, 4, 3, 2, 1, 0, 1, 2, 4],
+    [7, 6, 5, 4, 3, 2, 1, 0, 1, 5],
+    [8, 7, 6, 5, 4, 3, 2, 1, 0, 4],
+    [4, 5, 4, 5, 4, 5, 4, 5, 4, 0],
+]
+
+
+@pytest.mark.parametrize("n, dist", [(7, WITNESS_C7), (9, WITNESS_C9)], ids=["C7", "C9"])
+def test_paper_witness_pinned(n, dist):
+    witness = decide_metric(based_hypergraph(cycle_graph(n))).witness
+    assert witness.points == tuple(str(i) for i in range(n + 1))
+    assert [list(row) for row in witness.dist] == dist
+
+
 class TestMinimality:
     def test_based_c6_minimal(self):
         assert is_minimal_nonmetric(based_hypergraph(cycle_graph(6)))

@@ -2,9 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import geodesic.feasibility as feasibility
 from fm_oracle import fm_feasible
+from test_decider import NONMETRIC_6V_8T
 from geodesic.constructions import c4_based_metric
+from geodesic.decider import clear_decision_cache, decide_metric
 from geodesic.feasibility import (
     FeasibilitySystem,
     build_feasibility_system,
@@ -13,7 +17,7 @@ from geodesic.feasibility import (
     solve_nonneg_feasibility,
     strictness_constraints,
 )
-from geodesic.hypergraphs import Hypergraph3
+from geodesic.hypergraphs import Hypergraph3, based_hypergraph, cycle_graph
 from geodesic.metric import betweenness_triples, hypergraph_of
 
 
@@ -77,6 +81,28 @@ class TestSolver:
         for a, b, c in system.inequalities:
             assert m.dist[a[0]][a[1]] + m.dist[b[0]][b[1]] >= m.dist[c[0]][c[1]] + 1
 
+    @pytest.mark.parametrize(
+        "num_vars, eqs, ineqs, feasible",
+        [
+            (0, [], [], True),
+            (0, [([], 3)], [], False),
+            (0, [], [([], 0)], True),
+            (2, [([0, 0], 3)], [], False),
+            (2, [], [([0, 0], 0)], True),
+            (2, [([1, -1], 0)], [], True),
+            (2, [([0, 0], 0)], [], True),
+        ],
+        ids=["no-vars", "no-vars-0=3", "no-vars-0>=0", "0=3", "0>=0", "only-eq-rhs-0", "only-0=0"],
+    )
+    def test_edge_cases_match_oracle(self, num_vars, eqs, ineqs, feasible):
+        assert fm_feasible(num_vars, eqs, ineqs) is feasible
+        y = solve_nonneg_feasibility(num_vars, eqs, ineqs)
+        assert (y is not None) is feasible
+        if y is not None:
+            assert len(y) == num_vars and all(v >= 0 for v in y)
+            for c, r in eqs:
+                assert sum(ci * yi for ci, yi in zip(c, y)) == r
+
     def test_partial_system_relaxation(self):
         h = Hypergraph3.from_triples(4, [(0, 1, 2), (0, 1, 3)])
         system = partial_feasibility_system(h, {(0, 1, 2): 1})
@@ -123,3 +149,115 @@ class TestSolverAgainstEliminationOracle:
         assert w is not None
         assert isinstance(w[(0, 1)], Fraction)
         assert w[(0, 1)] + w[(0, 2)] == w[(1, 2)]
+
+
+def _dense_solve_nonneg_feasibility(num_vars, equalities, inequalities):
+    """Reference solver: the same phase-1 Bland simplex on a dense integer
+    tableau with one global fraction-free denominator, every row rewritten
+    at every pivot and the objective re-summed over the artificial rows."""
+    num_slack = len(inequalities)
+    slack_at = num_vars
+    artif_start = num_vars + num_slack
+    specs = []
+    for si, (coeffs, rhs) in enumerate(inequalities):
+        if rhs <= 0:
+            specs.append(([-x for x in coeffs], -rhs, si + 1))
+        else:
+            specs.append((list(coeffs), rhs, -(si + 1)))
+    for coeffs, rhs in equalities:
+        row = list(coeffs)
+        if rhs < 0:
+            row = [-x for x in row]
+            rhs = -rhs
+        specs.append((row, rhs, 0))
+    width = artif_start + 1
+    rhs_col = width - 1
+    rows, basis = [], []
+    for ri, (coeffs, rhs, tag) in enumerate(specs):
+        full = [0] * width
+        full[:num_vars] = coeffs
+        if tag != 0:
+            full[slack_at + abs(tag) - 1] = 1 if tag > 0 else -1
+        basis.append(slack_at + tag - 1 if tag > 0 else artif_start + ri)
+        full[rhs_col] = rhs
+        rows.append(full)
+    den = 1
+    while True:
+        art_rows = [i for i, b in enumerate(basis) if b >= artif_start]
+        if all(rows[i][rhs_col] == 0 for i in art_rows):
+            break
+        entering = next((j for j in range(artif_start) if sum(rows[i][j] for i in art_rows) > 0), -1)
+        if entering < 0:
+            return None
+        leave = -1
+        for i in range(len(rows)):
+            a = rows[i][entering]
+            if a <= 0:
+                continue
+            if leave < 0:
+                leave = i
+                continue
+            diff = rows[i][rhs_col] * rows[leave][entering] - rows[leave][rhs_col] * a
+            if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
+                leave = i
+        assert leave >= 0, "phase-1 objective unbounded"
+        piv = rows[leave][entering]
+        prow = rows[leave]
+        for i, row in enumerate(rows):
+            if i == leave:
+                continue
+            f = row[entering]
+            for j in range(width):
+                q, r = divmod(row[j] * piv - f * prow[j], den)
+                assert r == 0, "fraction-free pivot lost exactness"
+                row[j] = q
+        den = piv
+        basis[leave] = entering
+    result = [Fraction(0)] * num_vars
+    for i, b in enumerate(basis):
+        if b < num_vars:
+            result[b] = Fraction(rows[i][rhs_col], den)
+    return result
+
+
+def _rows(nv, max_rows):
+    coeffs = st.one_of(st.just([0] * nv), st.lists(st.integers(-2, 2), min_size=nv, max_size=nv))
+    return st.lists(st.tuples(coeffs, st.integers(-3, 3)), max_size=max_rows)
+
+
+class TestSparseSolverMatchesDense:
+    """The sparse solver makes the dense tableau's Bland pivots, so it
+    returns the same vertex, not just the same verdict."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_systems(self, data):
+        nv = data.draw(st.integers(0, 10))
+        eqs = data.draw(_rows(nv, 10))
+        ineqs = data.draw(_rows(nv, 20))
+        assert solve_nonneg_feasibility(nv, eqs, ineqs) == _dense_solve_nonneg_feasibility(nv, eqs, ineqs)
+
+    def test_paper_leaf_systems(self, monkeypatch):
+        systems = []
+        solve = feasibility.solve_nonneg_feasibility
+
+        def record(nv, eqs, ineqs):
+            systems.append((nv, eqs, ineqs))
+            return solve(nv, eqs, ineqs)
+
+        monkeypatch.setattr(feasibility, "solve_nonneg_feasibility", record)
+        instances = [
+            based_hypergraph(cycle_graph(7)),
+            based_hypergraph(cycle_graph(9)),
+            NONMETRIC_6V_8T,
+        ]
+        clear_decision_cache()
+        try:
+            for h in instances:
+                decide_metric(h)
+        finally:
+            clear_decision_cache()
+        results = [solve(*system) for system in systems]
+        assert [y is None for y in results] == [False, False] + [True] * 7
+        for system, y in zip(systems, results):
+            assert y == _dense_solve_nonneg_feasibility(*system)
