@@ -27,7 +27,7 @@ from .metric import (
     line_partition,
 )
 from .obstacles import ObstacleRouteInapplicable, certify_obstacle
-from .replay import ReplayContext, run_manifest
+from .replay import run_manifest
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -227,10 +227,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_paper(args: argparse.Namespace) -> int:
-    ctx = ReplayContext(suite_cases=args.cases)
     t0 = time.monotonic()
     try:
-        report = run_manifest(only=args.claim, ctx=ctx)
+        report = run_manifest(only=args.claim)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -287,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-paper", help="replay every supported claim and report pass/fail")
     p.add_argument("--claim", default=None, help="run a single claim by id")
-    p.add_argument("--cases", type=int, default=1000, help="cases per randomized property suite")
     p.set_defaults(fn=cmd_verify_paper)
 
     return parser

@@ -116,23 +116,14 @@ def _witness_space(n: int, solution: dict[Pair, Fraction]) -> MetricSpace:
 def find_complete_core(h: Hypergraph3) -> Optional[tuple[int, ...]]:
     """Greedy maximal vertex set with every inner triple a hyperedge.
 
-    Grown smallest-index-first until no vertex extends it; returned only
-    when large enough for order branching to be complete.
+    One pass in increasing index: the core only grows, so a vertex it
+    rejects stays rejected.  Returned only when large enough for order
+    branching to be complete.
     """
     core: list[int] = []
-    changed = True
-    while changed:
-        changed = False
-        for v in range(h.n):
-            if v in core:
-                continue
-            ok = all(
-                sorted_triple(v, a, b) in h.triples for a, b in itertools.combinations(core, 2)
-            )
-            if ok:
-                core.append(v)
-                changed = True
-    core.sort()
+    for v in range(h.n):
+        if all((a, b, v) in h.triples for a, b in itertools.combinations(core, 2)):
+            core.append(v)
     return tuple(core) if len(core) >= CORE_ORDER_MIN else None
 
 
@@ -140,7 +131,7 @@ def _core_automorphisms(h: Hypergraph3, core: tuple[int, ...], cap: int) -> Opti
     """Permutations of the core, fixing everything else, that preserve h.
 
     Backtracking with degree filtering; None when more than ``cap`` maps
-    exist (callers then skip symmetry reduction, which is always sound).
+    exist (callers then reduce by reversal only, which is always sound).
     """
     core_set = set(core)
     deg = h.degrees()
@@ -196,24 +187,18 @@ def _core_orders(h: Hypergraph3, core: tuple[int, ...]) -> Iterator[tuple[int, .
 
     Two orders explore isomorphic subtrees when one is the other
     reversed or relabeled by an automorphism of the hypergraph, so only
-    the lexicographically first of each class is produced.
+    lex-leaders are produced: orders that no automorphic image, reversed
+    or not, precedes lexicographically.  Without the automorphisms
+    (more than ``AUTOMORPHISM_CAP``) only reversal is used.
     """
-    autos = None
-    if len(core) >= 7:
-        autos = _core_automorphisms(h, core, AUTOMORPHISM_CAP)
-    if autos is None:
-        autos = [{v: v for v in core}]
-
-    seen: set[tuple[int, ...]] = set()
+    autos = _core_automorphisms(h, core, AUTOMORPHISM_CAP) or [{v: v for v in core}]
     for order in itertools.permutations(core):
-        if order in seen:
-            continue
-        seen.add(order)
         for g in autos:
-            mate = tuple(g[v] for v in order)
-            seen.add(mate)
-            seen.add(mate[::-1])
-        yield order
+            mate = tuple(map(g.__getitem__, order))
+            if mate < order or mate[::-1] < order:
+                break
+        else:
+            yield order
 
 
 def _linear_core_facts(core_order: tuple[int, ...]) -> list[tuple[Triple, int]]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .decider import DecideOptions, decide_metric
+from .decider import decide_metric
 from .hypergraphs import Hypergraph3
 
 CANONICAL_MAX_VERTICES = 8
@@ -79,11 +79,7 @@ def _level3_classes() -> list[Hypergraph3]:
     return [Hypergraph3.from_triples(3, []), Hypergraph3.from_triples(3, [(0, 1, 2)])]
 
 
-def enumerate_minimal_nonmetric(
-    n: int,
-    budget: Optional[float] = None,
-    options: Optional[DecideOptions] = None,
-) -> EnumerationResult:
+def enumerate_minimal_nonmetric(n: int, budget: Optional[float] = None) -> EnumerationResult:
     """All isomorphism classes on ``n`` vertices that are minimal non-metric.
 
     ``budget`` is a wall-clock limit in seconds; when it runs out the
@@ -92,7 +88,6 @@ def enumerate_minimal_nonmetric(
     if not 3 <= n <= 6:
         raise ValueError("enumeration supported for 3 <= n <= 6")
     start = time.monotonic()
-    opts = options or DecideOptions()
 
     def out_of_time() -> bool:
         return budget is not None and time.monotonic() - start > budget
@@ -106,7 +101,7 @@ def enumerate_minimal_nonmetric(
     while k < n:
         # parents must be metric: induced subhypergraphs of minimal
         # non-metric hypergraphs always are
-        parents = [h for h in level if decide_metric(h, opts).metric]
+        parents = [h for h in level if decide_metric(h).metric]
         k += 1
         new_pairs = list(itertools.combinations(range(k - 1), 2))
         reps: dict[bytes, Hypergraph3] = {}
@@ -134,12 +129,12 @@ def enumerate_minimal_nonmetric(
             sub = candidate.delete_vertex(v)
             key = canonical_form(sub)
             if key not in metric_subs:
-                metric_subs[key] = decide_metric(sub, opts).metric
+                metric_subs[key] = decide_metric(sub).metric
             if not metric_subs[key]:
                 all_deletions_metric = False
                 break
         if not all_deletions_metric:
             continue
-        if not decide_metric(candidate, opts).metric:
+        if not decide_metric(candidate).metric:
             found.append(candidate)
     return EnumerationResult(tuple(found), False, examined, time.monotonic() - start)

@@ -23,7 +23,7 @@ from .hypergraphs import (
     cycle_graph,
     graph_equivalence,
 )
-from .metric import check_meq, induced_subspace, line, recover_linear_order
+from .metric import check_meq, line, recover_linear_order
 
 
 class ObstacleRouteInapplicable(ValueError):
@@ -100,6 +100,14 @@ def cycle_obstacle_restrictions(n: int) -> list[CycleRestrictionCheck]:
     if n <= 4 or n % 2 != 0:
         raise ValueError("even n greater than 4 required")
     cycle = cycle_graph(n)
+    m = path_based_metric(n - 1)
+    core_labels = [str(i) for i in range(n - 1)]
+    everything = frozenset(m.points)
+    core = frozenset(core_labels)
+    try:
+        collinear = recover_linear_order(m, core_labels) is not None
+    except ValueError:
+        collinear = False
     checks = []
     for deleted in range(n):
         path_order = [(deleted + 1 + i) % n for i in range(n - 1)]
@@ -110,16 +118,8 @@ def cycle_obstacle_restrictions(n: int) -> list[CycleRestrictionCheck]:
             if u in position and v in position
         ]
         f = Graph.from_edges(n - 1, edges)
-
-        m = path_based_metric(n - 1)
-        core_labels = [str(i) for i in range(n - 1)]
-        m = induced_subspace(m, core_labels + ["x"])
-
         eq = graph_equivalence(f)
         realized = check_meq(m, core_labels, eq)
-
-        everything = frozenset(m.points)
-        core = frozenset(core_labels)
         lines_seen = set()
         edge_ok = True
         nonedge_ok = True
@@ -131,11 +131,6 @@ def cycle_obstacle_restrictions(n: int) -> list[CycleRestrictionCheck]:
                     edge_ok = edge_ok and l == everything
                 else:
                     nonedge_ok = nonedge_ok and l == core
-
-        try:
-            collinear = recover_linear_order(m, core_labels) is not None
-        except ValueError:
-            collinear = False
         checks.append(
             CycleRestrictionCheck(
                 deleted,

@@ -46,14 +46,16 @@ from .suites import (
 # well under a minute, so hitting it fails the claim as a performance fault.
 ENUMERATION_BUDGET = 900.0
 
+# Cases per randomized property suite.
+SUITE_CASES = 1000
+
 
 @dataclass
 class ReplayContext:
-    """Knobs for the harness itself; the negative-control override lets a
-    test corrupt one input chart and watch the right claim fail."""
+    """The harness's one knob: the negative-control override lets a test
+    corrupt one input chart and watch the right claim fail."""
 
     c4_chart_override: Optional[MetricSpace] = None
-    suite_cases: int = 1000
 
 
 @dataclass(frozen=True)
@@ -255,27 +257,27 @@ def claim_oracle_agreement_n5(ctx: ReplayContext) -> str:
 
 
 def claim_menger_suite(ctx: ReplayContext) -> str:
-    failures = run_menger_suite(ctx.suite_cases)
+    failures = run_menger_suite(SUITE_CASES)
     _require(not failures, failures[0] if failures else "")
-    return f"no four-point rule violations in {ctx.suite_cases} random metric spaces"
+    return f"no four-point rule violations in {SUITE_CASES} random metric spaces"
 
 
 def claim_apex_suite(ctx: ReplayContext) -> str:
-    failures = run_apex_implication_suite(ctx.suite_cases)
+    failures = run_apex_implication_suite(SUITE_CASES)
     _require(not failures, failures[0] if failures else "")
-    return f"apex-class closure rules hold in {ctx.suite_cases} random cases"
+    return f"apex-class closure rules hold in {SUITE_CASES} random cases"
 
 
 def claim_recovery_suite(ctx: ReplayContext) -> str:
-    failures = run_order_recovery_suite(ctx.suite_cases)
+    failures = run_order_recovery_suite(SUITE_CASES)
     _require(not failures, failures[0] if failures else "")
-    return f"order recovery succeeded in {ctx.suite_cases} random collinear cases"
+    return f"order recovery succeeded in {SUITE_CASES} random collinear cases"
 
 
 def claim_witness_suite(ctx: ReplayContext) -> str:
-    failures = run_witness_reverify_suite(ctx.suite_cases)
+    failures = run_witness_reverify_suite(SUITE_CASES)
     _require(not failures, failures[0] if failures else "")
-    return f"all metric witnesses re-verified in {ctx.suite_cases} random decisions"
+    return f"all metric witnesses re-verified in {SUITE_CASES} random decisions"
 
 
 _TRIANGLE_FREE = {

@@ -1,0 +1,174 @@
+"""Direct tests of the core-order symmetry layer of the decider.
+
+``_core_automorphisms`` and ``_core_orders`` decide which core orders the
+search skips; one wrong map there would skip an order that holds the only
+witness.  Each test checks them against a reference built here by brute
+force, or by the dihedral group of a cycle.
+"""
+
+import itertools
+import random
+import tracemalloc
+
+import pytest
+
+from geodesic.decider import AUTOMORPHISM_CAP, _core_automorphisms, _core_orders, find_complete_core
+from geodesic.hypergraphs import Hypergraph3, based_hypergraph, complement, cycle_graph, path_graph, sorted_triple
+
+
+def _planted(seed: int, k: int, extra: int, density: float) -> Hypergraph3:
+    """``k + extra`` vertices; every triple inside a random ``k``-subset is
+    a hyperedge, every other triple one with probability ``density``."""
+    rng = random.Random(seed)
+    n = k + extra
+    core = set(rng.sample(range(n), k))
+    triples = [
+        t for t in itertools.combinations(range(n), 3) if set(t) <= core or rng.random() < density
+    ]
+    return Hypergraph3.from_triples(n, triples)
+
+
+CYCLES = {
+    f"C{n}{'-bar' if co else ''}": (n, based_hypergraph(complement(cycle_graph(n)) if co else cycle_graph(n)))
+    for n in (5, 6, 7, 8)
+    for co in (False, True)
+}
+PLANTED = {
+    f"planted-k{k}-d{density}": _planted(1, k, 2, density)
+    for k in (5, 6, 7)
+    for density in (0.0, 0.2, 0.5)
+    if (k, density) != (7, 0.0)  # its 5040 core automorphisms exceed the cap
+}
+# Complete 7-vertex cores whose every permutation is an automorphism.
+CAPPED = {
+    "K7": Hypergraph3.from_triples(7, itertools.combinations(range(7), 3)),
+    "planted-k7-d0.0": _planted(1, 7, 2, 0.0),
+}
+SMALL = {
+    "P5-bar": based_hypergraph(complement(path_graph(5))),
+    **PLANTED,
+    **{name: h for name, (n, h) in CYCLES.items() if n <= 7},
+}
+UNCAPPED = {**SMALL, **{name: h for name, (n, h) in CYCLES.items() if n == 8}}
+
+
+def _relabel(h: Hypergraph3, g: dict[int, int]) -> frozenset:
+    return frozenset(sorted_triple(*(g.get(v, v) for v in t)) for t in h.triples)
+
+
+def _brute_automorphisms(h: Hypergraph3, core: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """Images of ``core``, in core order, under every core permutation preserving h."""
+    return {
+        image for image in itertools.permutations(core) if _relabel(h, dict(zip(core, image))) == h.triples
+    }
+
+
+def _dihedral(n: int) -> set[tuple[int, ...]]:
+    """Images of 0..n-1 under the rotations and reflections of the n-cycle."""
+    return {tuple((s * v + r) % n for v in range(n)) for r in range(n) for s in (1, -1)}
+
+
+def _orbit_leaders(core: tuple[int, ...], images: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Least member of every orbit of core orders under the maps and reversal, sorted."""
+    maps = [dict(zip(core, image)) for image in images]
+    leaders = set()
+    for order in itertools.permutations(core):
+        mates = [tuple(g[v] for v in order) for g in maps]
+        leaders.add(min(mates + [m[::-1] for m in mates]))
+    return sorted(leaders)
+
+
+def _core(h: Hypergraph3) -> tuple[int, ...]:
+    core = find_complete_core(h)
+    assert core is not None
+    return core
+
+
+@pytest.mark.parametrize("h", UNCAPPED.values(), ids=UNCAPPED.keys())
+def test_every_map_is_a_core_automorphism(h):
+    core = _core(h)
+    autos = _core_automorphisms(h, core, AUTOMORPHISM_CAP)
+    assert autos is not None
+    assert {v: v for v in core} in autos
+    for g in autos:
+        assert set(g) == set(core) and set(g.values()) == set(core)  # fixes every vertex outside
+        assert _relabel(h, g) == h.triples
+
+
+@pytest.mark.parametrize("h", SMALL.values(), ids=SMALL.keys())
+def test_automorphisms_match_brute_force(h):
+    core = _core(h)
+    autos = _core_automorphisms(h, core, AUTOMORPHISM_CAP)
+    found = [tuple(g[v] for v in core) for g in autos]
+    assert len(found) == len(set(found))
+    assert set(found) == _brute_automorphisms(h, core)
+
+
+@pytest.mark.parametrize("name", CYCLES)
+def test_cycle_automorphisms_are_dihedral(name):
+    n, h = CYCLES[name]
+    core = _core(h)
+    assert core == tuple(range(n))
+    autos = _core_automorphisms(h, core, AUTOMORPHISM_CAP)
+    assert {tuple(g[v] for v in core) for g in autos} == _dihedral(n)
+
+
+@pytest.mark.parametrize("h", CAPPED.values(), ids=CAPPED.keys())
+def test_complete_seven_vertex_core_exceeds_cap(h):
+    core = _core(h)
+    assert len(core) == 7
+    assert _core_automorphisms(h, core, AUTOMORPHISM_CAP) is None
+    # the fallback reduces by reversal only
+    assert list(_core_orders(h, core)) == [p for p in itertools.permutations(core) if p[0] < p[-1]]
+
+
+@pytest.mark.parametrize("h", SMALL.values(), ids=SMALL.keys())
+def test_core_orders_are_orbit_leaders(h):
+    core = _core(h)
+    assert list(_core_orders(h, core)) == _orbit_leaders(core, _brute_automorphisms(h, core))
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_cycle_core_orders_are_dihedral_orbit_leaders(n):
+    h = based_hypergraph(cycle_graph(n))
+    core = _core(h)
+    assert list(_core_orders(h, core)) == _orbit_leaders(core, _dihedral(n))
+
+
+def test_core_orders_memory_is_bounded():
+    # based C8 has 8! = 40,320 core orders; remembering each visited one
+    # would take several megabytes
+    h = based_hypergraph(cycle_graph(8))
+    core = _core(h)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in _core_orders(h, core))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 1320
+    assert peak < 1 << 20
+
+
+def _fixpoint_core(h: Hypergraph3) -> tuple[int, ...]:
+    """The greedy core grown pass after pass until no vertex extends it."""
+    core: list[int] = []
+    changed = True
+    while changed:
+        changed = False
+        for v in range(h.n):
+            if v not in core and all(
+                sorted_triple(v, a, b) in h.triples for a, b in itertools.combinations(core, 2)
+            ):
+                core.append(v)
+                changed = True
+    return tuple(sorted(core))
+
+
+def test_one_pass_core_is_the_fixpoint():
+    rng = random.Random(3)
+    inputs = [h for _, h in CYCLES.values()] + list(PLANTED.values())
+    inputs += [_planted(rng.randrange(1 << 30), rng.randint(3, 7), rng.randint(0, 3), rng.random()) for _ in range(200)]
+    for h in inputs:
+        core = _fixpoint_core(h)
+        assert find_complete_core(h) == (core if len(core) >= 5 else None)

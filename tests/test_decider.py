@@ -83,10 +83,10 @@ class TestPaperInstances:
 # Search statistics of the default decision, pinned so that any change to
 # the order in which closure derives facts, or to the branching, shows.
 PAPER_STATS = [
-    (based_hypergraph(cycle_graph(6)), SearchStats(2511, {"non-hyperedge": 1686, "middle-clash": 108})),
+    (based_hypergraph(cycle_graph(6)), SearchStats(323, {"non-hyperedge": 201, "middle-clash": 27})),
     (based_hypergraph(cycle_graph(7)), SearchStats(13, {"non-hyperedge": 5}, leaves_solved=1)),
     (based_hypergraph(cycle_graph(8)), SearchStats(9867, {"non-hyperedge": 6290, "middle-clash": 728})),
-    (based_hypergraph(complement(path_graph(5))), SearchStats(576, {"non-hyperedge": 359, "middle-clash": 45})),
+    (based_hypergraph(complement(path_graph(5))), SearchStats(305, {"non-hyperedge": 193, "middle-clash": 21})),
     (NONMETRIC_6V_8T, SearchStats(129, {"non-hyperedge": 75, "middle-clash": 5}, leaves_infeasible=7)),
 ]
 
