@@ -1,7 +1,9 @@
 """Isomorphism-classed enumeration of small minimal non-metric hypergraphs.
 
-Canonical forms are bitmask encodings minimized over vertex relabelings
-(restricted to degree-compatible ones, which is enough for canonicity).
+A canonical form is a triple-set bitmask under a canonical relabeling.
+Colour refinement, followed by individualize-and-refine where refinement
+leaves a cell of two or more vertices, gives a tree of discrete
+colourings; the form is the least bitmask over its leaves.
 Enumeration grows one vertex at a time, keeping only metric classes at
 intermediate levels: every induced subhypergraph of a minimal non-metric
 hypergraph is metric, so nothing is lost.
@@ -16,55 +18,128 @@ from functools import lru_cache
 from typing import Optional
 
 from .decider import decide_metric
-from .hypergraphs import Hypergraph3
+from .hypergraphs import Hypergraph3, Triple
 
 CANONICAL_MAX_VERTICES = 8
 
 
 @lru_cache(maxsize=None)
-def _triple_index(n: int) -> dict[tuple[int, int, int], int]:
-    return {t: i for i, t in enumerate(itertools.combinations(range(n), 3))}
+def _triple_bits(n: int) -> tuple[int, ...]:
+    """Bit of each triple in the form's bitmask, indexed by
+    ``(a * n + b) * n + c`` for every ordered triple of distinct vertices."""
+    bits = [0] * n**3
+    for i, t in enumerate(itertools.combinations(range(n), 3)):
+        for a, b, c in itertools.permutations(t):
+            bits[(a * n + b) * n + c] = 1 << i
+    return tuple(bits)
+
+
+@lru_cache(maxsize=None)
+def _pair_weights(n: int) -> tuple[int, tuple[int, ...]]:
+    """Packing of a vertex's refinement key into one integer.
+
+    ``weights[x * n + y]`` is ``base ** i`` for the i-th unordered colour
+    pair {x, y}; ``base`` exceeds the number of triples on a vertex, so
+    the sum over a vertex's triples encodes its multiset of colour pairs.
+    ``top`` is the first power past every such sum: the vertex's own
+    colour is packed above it.
+    """
+    base = (n - 1) * (n - 2) // 2 + 1
+    weights = [0] * (n * n)
+    for i, (x, y) in enumerate(itertools.combinations_with_replacement(range(n), 2)):
+        weights[x * n + y] = weights[y * n + x] = base**i
+    return base ** (n * (n + 1) // 2), tuple(weights)
+
+
+def _refine(colour: list[int], cells: int, triples: list[Triple]) -> tuple[list[int], int]:
+    """Equitable refinement of ``colour``, whose values are 0..cells-1.
+
+    Each round keys a vertex by its colour and the multiset of colour
+    pairs over its triples, and recolours it by the rank of its key among
+    the distinct keys, so colours stay isomorphism-invariant. It stops
+    once the colouring is discrete or a round splits no cell.
+    """
+    n = len(colour)
+    top, weights = _pair_weights(n)
+    while cells < n:
+        keys = [c * top for c in colour]
+        for a, b, c in triples:
+            x, y, z = colour[a], colour[b], colour[c]
+            keys[a] += weights[y * n + z]
+            keys[b] += weights[x * n + z]
+            keys[c] += weights[x * n + y]
+        distinct = sorted(set(keys))
+        if len(distinct) == cells:
+            break
+        rank = {key: i for i, key in enumerate(distinct)}
+        colour = [rank[key] for key in keys]
+        cells = len(distinct)
+    return colour, cells
+
+
+@lru_cache(maxsize=None)
+def _pairs_holding(n: int) -> tuple[int, ...]:
+    """For each vertex v, the bitmask over ``a * n + b`` (a < b) of the
+    pairs that hold v."""
+    return tuple(sum(1 << (min(u, v) * n + max(u, v)) for u in range(n) if u != v) for v in range(n))
+
+
+def _links(n: int, triples: list[Triple]) -> list[int]:
+    """Each vertex's link, the pairs {a, b} (a < b) that make a triple
+    with it, as a bitmask over ``a * n + b``."""
+    link = [0] * n
+    for a, b, c in triples:
+        link[a] |= 1 << (b * n + c)
+        link[b] |= 1 << (a * n + c)
+        link[c] |= 1 << (a * n + b)
+    return link
 
 
 def canonical_form(h: Hypergraph3) -> bytes:
     """Canonical byte string: equal for two hypergraphs iff isomorphic.
 
-    Minimum over vertex relabelings of the triple-set bitmask, with
-    relabelings restricted to those sending equal-degree vertices to the
-    same position block.  The sorted degree sequence is part of the
-    encoding, so different degree profiles never collide.
+    Refine the degree colouring; while a cell has two or more vertices,
+    individualize each vertex of the first such cell in turn and refine
+    again. Every discrete leaf relabels the vertices by colour, and the
+    form is the least triple bitmask over the leaves. Of two twins in a
+    cell only one is tried: twins are vertices whose transposition is an
+    automorphism of ``h``, and that transposition fixes every vertex
+    individualized so far, so it maps one subtree onto the other and the
+    two give the same leaves.
     """
-    if h.n > CANONICAL_MAX_VERTICES:
+    n = h.n
+    if n > CANONICAL_MAX_VERTICES:
         raise ValueError(f"canonical form limited to {CANONICAL_MAX_VERTICES} vertices")
-    triple_index = _triple_index(h.n)
-    degs = h.degrees()
-
-    classes: dict[int, list[int]] = {}
-    for v in range(h.n):
-        classes.setdefault(degs[v], []).append(v)
-    ordered_classes = [classes[d] for d in sorted(classes)]
-
-    starts = []
-    at = 0
-    for cls in ordered_classes:
-        starts.append(at)
-        at += len(cls)
-
+    triples = list(h.triples)
+    degrees = h.degrees()
+    degree_rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
+    bits = _triple_bits(n)
+    link: list[int] = []
     best: Optional[int] = None
-    triples = sorted(h.triples)
-    for combo in itertools.product(*[itertools.permutations(cls) for cls in ordered_classes]):
-        relabel = [0] * h.n
-        for cls_perm, start in zip(combo, starts):
-            for i, v in enumerate(cls_perm):
-                relabel[v] = start + i
-        mask = 0
-        for a, b, c in triples:
-            x, y, z = sorted((relabel[a], relabel[b], relabel[c]))
-            mask |= 1 << triple_index[(x, y, z)]
-        if best is None or mask < best:
-            best = mask
-    degseq = ",".join(str(d) for d in sorted(degs))
-    return f"{h.n}|{degseq}|{best:x}".encode()
+    stack = [_refine([degree_rank[d] for d in degrees], len(degree_rank), triples)]
+    while stack:
+        colour, cells = stack.pop()
+        if cells == n:
+            mask = 0
+            for a, b, c in triples:
+                mask |= bits[(colour[a] * n + colour[b]) * n + colour[c]]
+            if best is None or mask < best:
+                best = mask
+            continue
+        # u and v are twins iff their links agree once the pairs holding
+        # the other vertex are dropped
+        if not link:
+            link = _links(n, triples)
+        holding = _pairs_holding(n)
+        target = min(c for c in colour if colour.count(c) > 1)
+        tried: list[int] = []
+        for v in range(n):
+            if colour[v] != target or any(link[u] & ~holding[v] == link[v] & ~holding[u] for u in tried):
+                continue
+            tried.append(v)
+            individualized = [c + (c > target or (c == target and x != v)) for x, c in enumerate(colour)]
+            stack.append(_refine(individualized, cells + 1, triples))
+    return f"{n}|{best:x}".encode()
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ condition is sufficient, not known to be necessary), so the answer is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .constructions import path_based_metric
@@ -20,8 +21,8 @@ from .hypergraphs import (
     Graph,
     based_hypergraph,
     complement,
-    cycle_graph,
     graph_equivalence,
+    path_graph,
 )
 from .metric import check_meq, line, recover_linear_order
 
@@ -96,10 +97,16 @@ def cycle_obstacle_restrictions(n: int) -> list[CycleRestrictionCheck]:
     pair's line is the whole space for path edges and the core for
     non-edges.  One-vertex deletions suffice: a space realizing the
     equivalence on U realizes its restriction to every subset of U.
+
+    One check covers all n deletions.  Label the vertices left after
+    deleting d along the path that starts right after it, d+1, d+2, ...,
+    d-1 (mod n).  Every remaining cycle edge then joins consecutive
+    positions, so each restriction is the path 0-1-...-(n-2), and the n
+    records differ only in ``deleted_vertex``.
     """
     if n <= 4 or n % 2 != 0:
         raise ValueError("even n greater than 4 required")
-    cycle = cycle_graph(n)
+    f = path_graph(n - 1)
     m = path_based_metric(n - 1)
     core_labels = [str(i) for i in range(n - 1)]
     everything = frozenset(m.points)
@@ -108,40 +115,25 @@ def cycle_obstacle_restrictions(n: int) -> list[CycleRestrictionCheck]:
         collinear = recover_linear_order(m, core_labels) is not None
     except ValueError:
         collinear = False
-    checks = []
-    for deleted in range(n):
-        path_order = [(deleted + 1 + i) % n for i in range(n - 1)]
-        position = {v: i for i, v in enumerate(path_order)}
-        edges = [
-            (position[u], position[v])
-            for u, v in cycle.edges
-            if u in position and v in position
-        ]
-        f = Graph.from_edges(n - 1, edges)
-        eq = graph_equivalence(f)
-        realized = check_meq(m, core_labels, eq)
-        lines_seen = set()
-        edge_ok = True
-        nonedge_ok = True
-        for i in range(n - 1):
-            for j in range(i + 1, n - 1):
-                l = line(m, core_labels[i], core_labels[j])
-                lines_seen.add(l)
-                if f.has_edge(i, j):
-                    edge_ok = edge_ok and l == everything
-                else:
-                    nonedge_ok = nonedge_ok and l == core
-        checks.append(
-            CycleRestrictionCheck(
-                deleted,
-                realized,
-                frozenset(lines_seen),
-                edge_ok,
-                nonedge_ok,
-                collinear,
-            )
-        )
-    return checks
+    lines_seen = set()
+    edge_ok = True
+    nonedge_ok = True
+    for i, j in itertools.combinations(range(n - 1), 2):
+        l = line(m, core_labels[i], core_labels[j])
+        lines_seen.add(l)
+        if f.has_edge(i, j):
+            edge_ok = edge_ok and l == everything
+        else:
+            nonedge_ok = nonedge_ok and l == core
+    check = CycleRestrictionCheck(
+        0,
+        check_meq(m, core_labels, graph_equivalence(f)),
+        frozenset(lines_seen),
+        edge_ok,
+        nonedge_ok,
+        collinear,
+    )
+    return [replace(check, deleted_vertex=d) for d in range(n)]
 
 
 def verify_cycle_obstacle_minimality(n: int) -> bool:
