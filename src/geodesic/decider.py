@@ -9,16 +9,19 @@ metric space induces the hypergraph.
 When the hypergraph contains a complete core of at least five vertices,
 every realization orders that core linearly, so the search branches over
 linear orders of the core (reverses and automorphic relabelings skipped)
-instead of orienting core triples one at a time.
+instead of orienting core triples one at a time.  Orders grow by
+prefix, and each is seeded on top of the prefix it shares with the order
+seeded before it.  Every branch is taken by one step, ``_Search.branch``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .feasibility import build_feasibility_system, solve_exact_feasibility
 
@@ -86,22 +89,6 @@ class Verdict:
     def __post_init__(self) -> None:
         if self.metric and self.witness is None:
             raise ValueError("metric verdict requires a witness")
-
-
-class _Counters:
-    __slots__ = ("nodes", "conflicts", "leaves_solved", "leaves_infeasible")
-
-    def __init__(self) -> None:
-        self.nodes = 0
-        self.conflicts: dict[str, int] = {}
-        self.leaves_solved = 0
-        self.leaves_infeasible = 0
-
-    def conflict(self, cause: str) -> None:
-        self.conflicts[cause] = self.conflicts.get(cause, 0) + 1
-
-    def freeze(self) -> SearchStats:
-        return SearchStats(self.nodes, dict(self.conflicts), self.leaves_solved, self.leaves_infeasible)
 
 
 def _witness_space(n: int, solution: dict[Pair, Fraction]) -> MetricSpace:
@@ -189,39 +176,54 @@ def _core_orders(h: Hypergraph3, core: tuple[int, ...]) -> Iterator[tuple[int, .
     reversed or relabeled by an automorphism of the hypergraph, so only
     lex-leaders are produced: orders that no automorphic image, reversed
     or not, precedes lexicographically.  Without the automorphisms
-    (more than ``AUTOMORPHISM_CAP``) only reversal is used.
+    (more than ``AUTOMORPHISM_CAP``) only reversal is used.  An image
+    g(order) first differs from the order just after a prefix g fixes, so
+    orders grow by one vertex that no automorphism fixing the prefix maps
+    lower; reversed images are compared on whole orders.
     """
     autos = _core_automorphisms(h, core, AUTOMORPHISM_CAP) or [{v: v for v in core}]
-    for order in itertools.permutations(core):
-        for g in autos:
-            mate = tuple(map(g.__getitem__, order))
-            if mate < order or mate[::-1] < order:
-                break
-        else:
-            yield order
+
+    def grow(prefix: tuple[int, ...], stabilizer: list[dict[int, int]]) -> Iterator[tuple[int, ...]]:
+        if len(prefix) == len(core):
+            reverse = prefix[::-1]
+            if all(tuple(map(g.__getitem__, reverse)) >= prefix for g in autos):
+                yield prefix
+            return
+        for v in core:
+            if v not in prefix and all(g[v] >= v for g in stabilizer):
+                yield from grow(prefix + (v,), [g for g in stabilizer if g[v] == v])
+
+    return grow((), autos)
 
 
-def _linear_core_facts(core_order: tuple[int, ...]) -> list[tuple[Triple, int]]:
-    """Middle-of-every-inner-triple facts of a linearly ordered core.
-
-    This fact set is closed under the four-point rule: premises between
-    order-median facts only ever conclude order-median facts.
+def _linear_core_facts(core_order: tuple[int, ...], start: int = 0) -> list[tuple[Triple, int]]:
+    """Middle-of-every-inner-triple facts of a linearly ordered core,
+    by last position from ``start`` on: the first k positions' are the
+    first C(k, 3).  The set is closed under the four-point rule: premises
+    between order-median facts only ever conclude order-median facts.
     """
     facts = []
-    for i, j, k in itertools.combinations(range(len(core_order)), 3):
-        a, b, c = core_order[i], core_order[j], core_order[k]
-        facts.append((sorted_triple(a, b, c), b))
+    for k in range(start, len(core_order)):
+        c = core_order[k]
+        for i, j in itertools.combinations(range(k), 2):
+            facts.append((sorted_triple(core_order[i], core_order[j], c), core_order[j]))
     return facts
 
 
-class _Engine:
+class _Search:
+    """One decision's orientation state, work tallies and branch step."""
+
     def __init__(self, h: Hypergraph3):
         self.h = h
         self.state = OrientationState(h)
-        self.counters = _Counters()
         self.hyperedges = sorted(h.triples)
+        self.nodes = 0
+        self.conflicts: dict[str, int] = {}
+        self.leaves_solved = 0
+        self.leaves_infeasible = 0
 
-    # -- branching ---------------------------------------------------------
+    def stats(self) -> SearchStats:
+        return SearchStats(self.nodes, dict(self.conflicts), self.leaves_solved, self.leaves_infeasible)
 
     def _next_triple(self) -> Optional[Triple]:
         """Unassigned hyperedge touching the most already-oriented
@@ -239,36 +241,50 @@ class _Engine:
                     break
         return best
 
-    def _leaf(self) -> Optional[MetricSpace]:
-        system = build_feasibility_system(self.h, self.state.middles)
-        solution = solve_exact_feasibility(system)
+    def leaf(self, middles: dict[Triple, int]) -> Optional[MetricSpace]:
+        """The witness of a total middle assignment, or None."""
+        solution = solve_exact_feasibility(build_feasibility_system(self.h, middles))
         if solution is None:
-            self.counters.leaves_infeasible += 1
+            self.leaves_infeasible += 1
             return None
-        self.counters.leaves_solved += 1
+        self.leaves_solved += 1
         witness = _witness_space(self.h.n, solution)
-        induced = hypergraph_of(witness)
-        if induced != self.h:
+        if hypergraph_of(witness) != self.h:
             raise AssertionError("feasible leaf induced the wrong hypergraph; engine bug")
         return witness
 
+    def branch(
+        self, keep: int, seed: Sequence[tuple[Triple, int]] = (), fact: Optional[tuple[Triple, int]] = None
+    ) -> Optional[MetricSpace]:
+        """Roll the trail back to ``keep`` facts, push one branch (one node)
+        and search below it; return the witness found, else None.  A branch
+        is a decision ``fact``, asserted with closure, a core order's closed
+        ``seed`` past its kept prefix, or nothing for an edgeless input."""
+        state = self.state
+        state.rollback(keep)
+        if seed:
+            self.nodes += 1
+            state.seed_unchecked(seed)
+        elif fact is not None:
+            self.nodes += 1
+            conflict = state.assert_fact(*fact)
+            if conflict is not None:
+                self.conflicts[conflict.cause] = self.conflicts.get(conflict.cause, 0) + 1
+                return None
+        return self.search()
+
     def search(self) -> Optional[MetricSpace]:
+        """The leaf, or a branch per middle of the next hyperedge; restores the state on failure."""
         if len(self.state.middles) == len(self.hyperedges):
-            return self._leaf()
+            return self.leaf(self.state.middles)
         triple = self._next_triple()
         assert triple is not None
+        mark = self.state.checkpoint()
         for middle in triple:
-            mark = self.state.checkpoint()
-            self.counters.nodes += 1
-            conflict = self.state.assert_fact(triple, middle)
-            if conflict is not None:
-                self.counters.conflict(conflict.cause)
-                self.state.rollback(mark)
-                continue
-            witness = self.search()
+            witness = self.branch(mark, fact=(triple, middle))
             if witness is not None:
                 return witness
-            self.state.rollback(mark)
+        self.state.rollback(mark)
         return None
 
 
@@ -279,44 +295,34 @@ def _explore(
 
     The branches are the core orders of :func:`_core_orders` when
     ``core_order`` is set and ``h`` has a complete core, else the three
-    middles of the first hyperedge.  Every branch is counted, conflicted
-    ones too, so a hit index names the same branch for every stride;
-    only branches with ``index % stride == offset`` are searched.
-    Returns the index and witness of the first hit (``None, None`` when
-    there is none) and the work tallies.
+    middles of the first hyperedge, or an edgeless input's lone leaf.
+    Every branch is counted, conflicted ones too, so a hit index names
+    the same branch for every stride; only branches with
+    ``index % stride == offset`` are searched, each core order on top of
+    the prefix it shares with the last one seeded.  Returns the index and
+    witness of the first hit (``None, None`` when there is none) and the
+    work tallies.
     """
-    engine = _Engine(h)
-    state, counters = engine.state, engine.counters
-    if not h.triples:  # no branch: the root is the one leaf, counted as branch 0
-        witness = engine.search() if offset == 0 else None
-        return (None if witness is None else 0), witness, counters.freeze()
-
+    search = _Search(h)
     core = find_complete_core(h) if core_order else None
-    root = min(h.triples)
-    branches = _core_orders(h, core) if core is not None else root
+    if core is not None:
+        branches = _core_orders(h, core)
+    else:
+        root = min(h.triples, default=())
+        branches = [(root, middle) for middle in root] or [None]
+    seeded: tuple[int, ...] = ()
     for index, branch in enumerate(branches):
         if index % stride != offset:
             continue
-        mark = state.checkpoint()
-        counters.nodes += 1
-        if core is not None:
-            state.seed_unchecked(_linear_core_facts(branch))
+        if core is None:
+            witness = search.branch(0, fact=branch)
         else:
-            conflict = state.assert_fact(root, branch)
-            if conflict is not None:
-                counters.conflict(conflict.cause)
-                state.rollback(mark)
-                continue
-        witness = engine.search()
+            shared = next((i for i, (u, v) in enumerate(zip(seeded, branch)) if u != v), len(seeded))
+            witness = search.branch(math.comb(shared, 3), seed=_linear_core_facts(branch, shared))
+            seeded = branch
         if witness is not None:
-            return index, witness, counters.freeze()
-        state.rollback(mark)
-    return None, None, counters.freeze()
-
-
-def _decide_sequential(h: Hypergraph3, opts: DecideOptions) -> Verdict:
-    _, witness, stats = _explore(h, opts.core_order)
-    return Verdict(witness is not None, witness, stats)
+            return index, witness, search.stats()
+    return None, None, search.stats()
 
 
 @lru_cache(maxsize=256)
@@ -325,7 +331,8 @@ def _decide_cached(h: Hypergraph3, opts: DecideOptions) -> Verdict:
         from .parallel import decide_parallel
 
         return decide_parallel(h, opts)
-    return _decide_sequential(h, opts)
+    _, witness, stats = _explore(h, opts.core_order)
+    return Verdict(witness is not None, witness, stats)
 
 
 def decide_metric(h: Hypergraph3, options: Optional[DecideOptions] = None) -> Verdict:
@@ -356,20 +363,13 @@ def decide_metric_naive(h: Hypergraph3) -> Verdict:
     if h.n < 2:
         raise ValueError("need at least 2 vertices")
     triples = sorted(h.triples)
-    counters = _Counters()
+    search = _Search(h)
     for middles in itertools.product(*triples):
-        counters.nodes += 1
-        assignment = dict(zip(triples, middles))
-        solution = solve_exact_feasibility(build_feasibility_system(h, assignment))
-        if solution is None:
-            counters.leaves_infeasible += 1
-            continue
-        counters.leaves_solved += 1
-        witness = _witness_space(h.n, solution)
-        if hypergraph_of(witness) != h:
-            raise AssertionError("feasible leaf induced the wrong hypergraph; engine bug")
-        return Verdict(True, witness, counters.freeze())
-    return Verdict(False, None, counters.freeze())
+        search.nodes += 1
+        witness = search.leaf(dict(zip(triples, middles)))
+        if witness is not None:
+            return Verdict(True, witness, search.stats())
+    return Verdict(False, None, search.stats())
 
 
 def is_minimal_nonmetric(h: Hypergraph3, options: Optional[DecideOptions] = None) -> bool:

@@ -150,10 +150,6 @@ class EnumerationResult:
     elapsed: float
 
 
-def _level3_classes() -> list[Hypergraph3]:
-    return [Hypergraph3.from_triples(3, []), Hypergraph3.from_triples(3, [(0, 1, 2)])]
-
-
 def enumerate_minimal_nonmetric(n: int, budget: Optional[float] = None) -> EnumerationResult:
     """All isomorphism classes on ``n`` vertices that are minimal non-metric.
 
@@ -170,46 +166,36 @@ def enumerate_minimal_nonmetric(n: int, budget: Optional[float] = None) -> Enume
     def truncated(found: list[Hypergraph3], examined: int) -> EnumerationResult:
         return EnumerationResult(tuple(found), True, examined, time.monotonic() - start)
 
-    level = _level3_classes()
-    k = 3
-    examined = 0
+    edgeless = Hypergraph3(2, frozenset())
+    level = {canonical_form(edgeless): edgeless}
+    k = 2
     while k < n:
         # parents must be metric: induced subhypergraphs of minimal
         # non-metric hypergraphs always are
-        parents = [h for h in level if decide_metric(h).metric]
+        parents = {key: h for key, h in level.items() if decide_metric(h).metric}
         k += 1
         new_pairs = list(itertools.combinations(range(k - 1), 2))
-        reps: dict[bytes, Hypergraph3] = {}
-        for parent in parents:
+        level = {}
+        for parent in parents.values():
             for picks in range(1 << len(new_pairs)):
                 extra = frozenset(
                     (u, v, k - 1) for i, (u, v) in enumerate(new_pairs) if picks >> i & 1
                 )
                 candidate = Hypergraph3(k, parent.triples | extra)
-                key = canonical_form(candidate)
-                if key not in reps:
-                    reps[key] = candidate
+                level.setdefault(canonical_form(candidate), candidate)
             if out_of_time():
-                return truncated([], examined)
-        level = list(reps.values())
+                return truncated([], 0)
 
+    # Every metric class on n - 1 vertices extends a metric class on
+    # n - 2, so it is among the parents: a deletion is metric iff its
+    # class is a parent, a lookup and not a decision.
     found: list[Hypergraph3] = []
-    metric_subs: dict[bytes, bool] = {}
-    for candidate in level:
+    examined = 0
+    for candidate in level.values():
         if out_of_time():
             return truncated(found, examined)
         examined += 1
-        all_deletions_metric = True
-        for v in range(candidate.n):
-            sub = candidate.delete_vertex(v)
-            key = canonical_form(sub)
-            if key not in metric_subs:
-                metric_subs[key] = decide_metric(sub).metric
-            if not metric_subs[key]:
-                all_deletions_metric = False
-                break
-        if not all_deletions_metric:
-            continue
-        if not decide_metric(candidate).metric:
-            found.append(candidate)
+        if all(canonical_form(candidate.delete_vertex(v)) in parents for v in range(n)):
+            if not decide_metric(candidate).metric:
+                found.append(candidate)
     return EnumerationResult(tuple(found), False, examined, time.monotonic() - start)

@@ -30,20 +30,21 @@ from .hypergraphs import Hypergraph3, Pair, Triple, sorted_pair
 
 Constraint = tuple[Pair, Pair, Pair]  # var_a + var_b - var_c  (= 0 or >= 1)
 
+LOWER_BOUND = 1  # every distance variable is at least this
+
 
 @dataclass(frozen=True)
 class FeasibilitySystem:
     """Distance constraints for one total orientation of a hypergraph.
 
     ``equalities``: a + b - c = 0; ``inequalities``: a + b - c >= 1;
-    every variable is bounded below by ``lower_bound``.
+    every variable is bounded below by ``LOWER_BOUND``.
     """
 
     n: int
     variables: tuple[Pair, ...]
     equalities: tuple[Constraint, ...]
     inequalities: tuple[Constraint, ...]
-    lower_bound: int = 1
 
 
 def triangle_constraints(triple: Triple, middle: int) -> Constraint:
@@ -55,12 +56,7 @@ def triangle_constraints(triple: Triple, middle: int) -> Constraint:
 
 def strictness_constraints(triple: Triple) -> list[Constraint]:
     """The three strict triangle rows ruling every middle out of a triple."""
-    u, v, w = triple
-    rows = []
-    for mid in (u, v, w):
-        ends = [x for x in triple if x != mid]
-        rows.append((sorted_pair(ends[0], mid), sorted_pair(mid, ends[1]), sorted_pair(ends[0], ends[1])))
-    return rows
+    return [triangle_constraints(triple, middle) for middle in triple]
 
 
 def build_feasibility_system(h: Hypergraph3, assignment: dict[Triple, int]) -> FeasibilitySystem:
@@ -105,23 +101,22 @@ def solve_exact_feasibility(system: FeasibilitySystem) -> Optional[dict[Pair, Fr
     """
     var_index = {p: i for i, p in enumerate(system.variables)}
     nv = len(system.variables)
-    lb = system.lower_bound
 
     def row_of(c: Constraint, shift_rhs: int) -> tuple[list[int], int]:
-        # substitute x = lb + y:  a + b - c (cmp) r  ->  y_a+y_b-y_c (cmp) r - lb
+        # substitute x = LOWER_BOUND + y:  a + b - c (cmp) r  ->  y_a+y_b-y_c (cmp) r - LOWER_BOUND
         coeffs = [0] * nv
         a, b, neg = c
         coeffs[var_index[a]] += 1
         coeffs[var_index[b]] += 1
         coeffs[var_index[neg]] -= 1
-        return coeffs, shift_rhs - lb
+        return coeffs, shift_rhs - LOWER_BOUND
 
     eq_rows = [row_of(c, 0) for c in system.equalities]
     ineq_rows = [row_of(c, 1) for c in system.inequalities]
     y = solve_nonneg_feasibility(nv, eq_rows, ineq_rows)
     if y is None:
         return None
-    witness = {p: lb + y[i] for p, i in var_index.items()}
+    witness = {p: LOWER_BOUND + y[i] for p, i in var_index.items()}
     _verify_witness(system, witness)
     return witness
 
@@ -133,7 +128,7 @@ def _verify_witness(system: FeasibilitySystem, witness: dict[Pair, Fraction]) ->
     for a, b, c in system.inequalities:
         if witness[a] + witness[b] - witness[c] < 1:
             raise AssertionError("solver returned a witness violating an inequality")
-    if any(v < system.lower_bound for v in witness.values()):
+    if any(v < LOWER_BOUND for v in witness.values()):
         raise AssertionError("solver returned a witness below the lower bound")
 
 

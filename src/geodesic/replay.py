@@ -35,6 +35,7 @@ from .metric import (
 )
 from .obstacles import certify_obstacle, cycle_obstacle_restrictions
 from .suites import (
+    DEFAULT_CASES,
     run_apex_implication_suite,
     run_menger_suite,
     run_order_recovery_suite,
@@ -45,9 +46,6 @@ from .suites import (
 # Time budget of the n=6 enumeration, in seconds; the complete run takes
 # well under a minute, so hitting it fails the claim as a performance fault.
 ENUMERATION_BUDGET = 900.0
-
-# Cases per randomized property suite.
-SUITE_CASES = 1000
 
 
 @dataclass
@@ -257,27 +255,27 @@ def claim_oracle_agreement_n5(ctx: ReplayContext) -> str:
 
 
 def claim_menger_suite(ctx: ReplayContext) -> str:
-    failures = run_menger_suite(SUITE_CASES)
+    failures = run_menger_suite()
     _require(not failures, failures[0] if failures else "")
-    return f"no four-point rule violations in {SUITE_CASES} random metric spaces"
+    return f"no four-point rule violations in {DEFAULT_CASES} random metric spaces"
 
 
 def claim_apex_suite(ctx: ReplayContext) -> str:
-    failures = run_apex_implication_suite(SUITE_CASES)
+    failures = run_apex_implication_suite()
     _require(not failures, failures[0] if failures else "")
-    return f"apex-class closure rules hold in {SUITE_CASES} random cases"
+    return f"apex-class closure rules hold in {DEFAULT_CASES} random cases"
 
 
 def claim_recovery_suite(ctx: ReplayContext) -> str:
-    failures = run_order_recovery_suite(SUITE_CASES)
+    failures = run_order_recovery_suite()
     _require(not failures, failures[0] if failures else "")
-    return f"order recovery succeeded in {SUITE_CASES} random collinear cases"
+    return f"order recovery succeeded in {DEFAULT_CASES} random collinear cases"
 
 
 def claim_witness_suite(ctx: ReplayContext) -> str:
-    failures = run_witness_reverify_suite(SUITE_CASES)
+    failures = run_witness_reverify_suite()
     _require(not failures, failures[0] if failures else "")
-    return f"all metric witnesses re-verified in {SUITE_CASES} random decisions"
+    return f"all metric witnesses re-verified in {DEFAULT_CASES} random decisions"
 
 
 _TRIANGLE_FREE = {

@@ -25,7 +25,7 @@ from .metric import (
     validate_metric,
 )
 
-DEFAULT_CASES = 1000
+DEFAULT_CASES = 1000  # cases per suite; verify-paper runs and reports this many
 
 
 def random_shortest_path_metric(rng: random.Random, n: int) -> MetricSpace:

@@ -6,6 +6,7 @@ import pytest
 from geodesic.decider import (
     DecideOptions,
     SearchStats,
+    _explore,
     decide_metric,
     decide_metric_naive,
     find_complete_core,
@@ -200,6 +201,38 @@ METRIC_7V_NO_CORE = Hypergraph3.from_triples(
     7,
     [(0, 1, 2), (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 3, 4), (0, 4, 6), (1, 2, 3), (1, 2, 4), (4, 5, 6)],
 )
+
+
+STRIDED = {
+    "C6": based_hypergraph(cycle_graph(6)),
+    "C7": based_hypergraph(cycle_graph(7)),
+    "C8": based_hypergraph(cycle_graph(8)),
+    "C8-bar": based_hypergraph(complement(cycle_graph(8))),
+    "P5-bar": based_hypergraph(complement(path_graph(5))),
+    "6v8t": NONMETRIC_6V_8T,
+    "7v-no-core": METRIC_7V_NO_CORE,
+    "edgeless": Hypergraph3.from_triples(5, []),
+}
+
+
+@pytest.mark.parametrize("stride", [2, 3])
+@pytest.mark.parametrize("h", STRIDED.values(), ids=STRIDED.keys())
+def test_strided_branches_match_sequential(h, stride):
+    # The branches a fan-out worker searches, in one process: their tallies
+    # add up to the sequential ones, and the least hit is the sequential
+    # hit.  Fails if a core order's subtree depends on which orders were
+    # seeded before it.
+    index, witness, stats = _explore(h, True)
+    parts = [_explore(h, True, stride, offset) for offset in range(stride)]
+    if witness is None:
+        assert [hit for hit, _, _ in parts] == [None] * stride
+        total = SearchStats()
+        for _, _, part in parts:
+            total = total.merged(part)
+        assert total == stats
+    else:
+        hits = [(hit, found) for hit, found, _ in parts if hit is not None]
+        assert min(hits, key=lambda p: p[0]) == (index, witness)
 
 
 class TestParallel:

@@ -27,7 +27,7 @@ class TestSystemConstruction:
         system = build_feasibility_system(h, {(0, 1, 2): 1})
         assert system.equalities == (((0, 1), (1, 2), (0, 2)),)
         assert system.inequalities == ()
-        assert system.lower_bound == 1
+        assert feasibility.LOWER_BOUND == 1
 
     def test_empty_hypergraph_system(self):
         h = Hypergraph3.from_triples(3, [])
