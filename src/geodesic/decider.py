@@ -10,8 +10,9 @@ When the hypergraph contains a complete core of at least five vertices,
 every realization orders that core linearly, so the search branches over
 linear orders of the core (reverses and automorphic relabelings skipped)
 instead of orienting core triples one at a time.  Orders grow by
-prefix, and each is seeded on top of the prefix it shares with the order
-seeded before it.  Every branch is taken by one step, ``_Search.branch``.
+prefix, a prefix under which some outside vertex's link is no step-word
+pattern is dropped (it has no realization), and each order is seeded on
+top of the prefix it shares with the order seeded before it.  Every branch is taken by one step, ``_Search.branch``.
 """
 
 from __future__ import annotations
@@ -130,13 +131,17 @@ def _core_automorphisms(h: Hypergraph3, core: tuple[int, ...], cap: int) -> Opti
                 if v in core_set:
                     outside_deg[v] += 1
 
-    # triples with core members, bucketed by their latest core position
+    # Triples with core members and outside vertices, hyperedges or not,
+    # bucketed by their latest core position.  A map that fixes every
+    # outside vertex permutes them, so it preserves h iff it keeps each
+    # one's membership; triples inside the complete core always map to
+    # hyperedges.
     pos = {v: i for i, v in enumerate(core)}
-    buckets: dict[int, list[Triple]] = {i: [] for i in range(len(core))}
-    for t in h.triples:
+    buckets: dict[int, list[tuple[Triple, bool]]] = {i: [] for i in range(len(core))}
+    for t in itertools.combinations(range(h.n), 3):
         members = [v for v in t if v in core_set]
-        if members:
-            buckets[max(pos[v] for v in members)].append(t)
+        if 0 < len(members) < 3:
+            buckets[max(pos[v] for v in members)].append((t, t in h.triples))
 
     found: list[dict[int, int]] = []
     mapping: dict[int, int] = {}
@@ -153,9 +158,8 @@ def _core_automorphisms(h: Hypergraph3, core: tuple[int, ...], cap: int) -> Opti
             mapping[v] = w
             used.add(w)
             ok = True
-            for t in buckets[k]:
-                image = sorted_triple(*(mapping.get(x, x) for x in t))
-                if image not in h.triples:
+            for t, edge in buckets[k]:
+                if (sorted_triple(*(mapping.get(x, x) for x in t)) in h.triples) != edge:
                     ok = False
                     break
             if ok and not extend(k + 1):
@@ -169,8 +173,83 @@ def _core_automorphisms(h: Hypergraph3, core: tuple[int, ...], cap: int) -> Opti
     return found
 
 
+def _pair_bit(i: int, j: int) -> int:
+    """Bit of the position pair i < j in a link mask; the pairs inside the
+    first k positions own the first C(k, 2) bits."""
+    return 1 << (j * (j - 1) // 2 + i)
+
+
+def _clique(lo: int, hi: int) -> int:
+    """Mask of every pair inside positions lo..hi."""
+    return sum(_pair_bit(i, j) for j in range(lo + 1, hi + 1) for i in range(lo, j))
+
+
+def _runs(link: int, lo: int, hi: int) -> Optional[list[tuple[int, int]]]:
+    """The runs [s..e] of a step word on positions lo..hi whose R is
+    exactly ``link`` (pairs inside lo..hi), or None when no word's is.
+
+    Runs meet in at most one point, so the run holding step s is the
+    largest clique of ``link`` that starts at s."""
+    runs = []
+    covered = 0
+    s = lo
+    while s < hi:
+        if link & _pair_bit(s, s + 1):
+            e = s + 1
+            while e < hi and all(link & _pair_bit(i, e + 1) for i in range(s, e + 1)):
+                e += 1
+            runs.append((s, e))
+            covered |= _clique(s, e)
+            s = e
+        else:
+            s += 1
+    return runs if covered == link else None
+
+
+def _is_word_pattern(k: int, link: int) -> bool:
+    """Is the pair set ``link`` on positions 0..k-1 R(w), or R(w) with
+    J(w), for some step word w in {+, -, 0}^(k-1)?
+
+    R(w) is every pair inside one maximal run of + steps or of - steps.
+    J(w) is every pair (i, j) with i <= L < R <= j, where [0..L] is the
+    initial - run and [R..k-1] the final + run.  Put a core on its line
+    at positions p, and let a be the distances of an outside vertex: a
+    is 1-Lipschitz, so the pairs with |a_j - a_i| = p_j - p_i are R(w)
+    for the word of tight steps, and the pairs with a_i + a_j = p_j - p_i
+    are J(w) or none.  So in every realization of a core order, the link
+    of every outside vertex is a word pattern, and so is its restriction
+    to any prefix.  With J, the middle [L..R] less the pair (L, R) is an
+    R of its own whose first step is no - step and last no + step: a
+    chain of touching runs from L to R alternates from + to -.
+    """
+    if _runs(link, 0, k - 1) is not None:
+        return True
+    if not link & _pair_bit(0, k - 1):
+        return False
+    for left in range(k - 1):
+        head = _clique(0, left)
+        if head & ~link:
+            break
+        for right in range(k - 1, left, -1):
+            outer = head | _clique(right, k - 1)
+            outer |= sum(_pair_bit(i, j) for i in range(left + 1) for j in range(right, k))
+            if outer & ~link:
+                break
+            middle = link & ~outer
+            if middle & ~_clique(left, right):
+                continue
+            runs = _runs(middle, left, right)
+            if runs is None:
+                continue
+            chained = all(a[1] == b[0] for a, b in zip(runs, runs[1:]))
+            if not (runs and runs[0][0] == left and runs[-1][1] == right and chained) or len(runs) % 2 == 0:
+                return True
+    return False
+
+
 def _core_orders(h: Hypergraph3, core: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Linear orders of the core, one per symmetry class, lazily.
+    """Linear orders of the core that may have a realization, one per
+    symmetry class, lazily.
 
     Two orders explore isomorphic subtrees when one is the other
     reversed or relabeled by an automorphism of the hypergraph, so only
@@ -179,21 +258,51 @@ def _core_orders(h: Hypergraph3, core: tuple[int, ...]) -> Iterator[tuple[int, .
     (more than ``AUTOMORPHISM_CAP``) only reversal is used.  An image
     g(order) first differs from the order just after a prefix g fixes, so
     orders grow by one vertex that no automorphism fixing the prefix maps
-    lower; reversed images are compared on whole orders.
+    lower; reversed images are compared on whole orders.  A vertex is
+    appended only when the link of every outside vertex (the prefix
+    position pairs it forms a hyperedge with) stays a word pattern, see
+    :func:`_is_word_pattern`; that test is invariant under the
+    automorphisms and reversal, so it removes whole orbits.
     """
     autos = _core_automorphisms(h, core, AUTOMORPHISM_CAP) or [{v: v for v in core}]
+    core_set = set(core)
+    near: dict[int, dict[int, set[int]]] = {}  # outside vertex -> core vertex -> its link partners
+    for t in h.triples:
+        outside = [v for v in t if v not in core_set]
+        if len(outside) == 1:
+            a, b = (v for v in t if v in core_set)
+            partners = near.setdefault(outside[0], {})
+            partners.setdefault(a, set()).add(b)
+            partners.setdefault(b, set()).add(a)
+    patterns: dict[tuple[int, int], bool] = {}
 
-    def grow(prefix: tuple[int, ...], stabilizer: list[dict[int, int]]) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == len(core):
-            reverse = prefix[::-1]
-            if all(tuple(map(g.__getitem__, reverse)) >= prefix for g in autos):
+    def fits(k: int, link: int) -> bool:
+        if (k, link) not in patterns:
+            patterns[k, link] = _is_word_pattern(k, link)
+        return patterns[k, link]
+
+    def grow(
+        prefix: tuple[int, ...], stabilizer: list[dict[int, int]], links: tuple[int, ...]
+    ) -> Iterator[tuple[int, ...]]:
+        k = len(prefix)
+        if k == len(core):
+            # a reversed image g(reverse) starts with g(last)
+            first, last, reverse = prefix[0], prefix[-1], prefix[::-1]
+            if all(
+                g[last] > first or (g[last] == first and tuple(map(g.__getitem__, reverse)) >= prefix) for g in autos
+            ):
                 yield prefix
             return
         for v in core:
             if v not in prefix and all(g[v] >= v for g in stabilizer):
-                yield from grow(prefix + (v,), [g for g in stabilizer if g[v] == v])
+                grown = tuple(
+                    link | sum(_pair_bit(i, k) for i, u in enumerate(prefix) if u in partners.get(v, ()))
+                    for link, partners in zip(links, near.values())
+                )
+                if all(fits(k + 1, link) for link in grown):
+                    yield from grow(prefix + (v,), [g for g in stabilizer if g[v] == v], grown)
 
-    return grow((), autos)
+    return grow((), autos, (0,) * len(near))
 
 
 def _linear_core_facts(core_order: tuple[int, ...], start: int = 0) -> list[tuple[Triple, int]]:

@@ -155,12 +155,12 @@ def claim_c4_chart(ctx: ReplayContext) -> str:
 
 
 def claim_even_cycles_nonmetric(ctx: ReplayContext) -> str:
-    for n, budget in ((6, 120.0), (8, 900.0)):
+    for n, budget in ((6, 120.0), (8, 900.0), (10, 60.0)):
         t0 = _cold_clock()
         v = decide_metric(based_hypergraph(cycle_graph(n)))
         _require(not v.metric, f"based cycle on {n} vertices should be non-metric")
         _require_budget(t0, budget, f"cycle {n}")
-    return "based 6- and 8-cycles non-metric within budget"
+    return "based 6-, 8- and 10-cycles non-metric within budget"
 
 
 def claim_c6_minimal(ctx: ReplayContext) -> str:
@@ -198,10 +198,10 @@ def claim_p5bar_minus_a_chart(ctx: ReplayContext) -> str:
 
 
 def claim_cycle_obstacles(ctx: ReplayContext) -> str:
-    for n in (6, 8):
+    for n in (6, 8, 10):
         cert = certify_obstacle(cycle_graph(n))
         _require(cert is not None, f"cycle {n} should certify as an obstacle")
-    return "6- and 8-cycle equivalences certified as obstacles"
+    return "6-, 8- and 10-cycle equivalences certified as obstacles"
 
 
 def claim_cycle_obstacle_minimality(ctx: ReplayContext) -> str:
@@ -374,7 +374,7 @@ CLAIMS: tuple[Claim, ...] = (
     Claim("odd-cycle-charts", "odd-cycle charts induce their based hypergraphs", claim_odd_cycle_charts),
     Claim("odd-cycles-metric", "based odd cycles are metric (decider)", claim_odd_cycles_metric),
     Claim("c4-chart", "the printed 4-cycle chart and its betweenness list", claim_c4_chart),
-    Claim("even-cycles-nonmetric", "based even cycles (6, 8) are non-metric", claim_even_cycles_nonmetric),
+    Claim("even-cycles-nonmetric", "based even cycles (6, 8, 10) are non-metric", claim_even_cycles_nonmetric),
     Claim("c6-minimal", "based 6-cycle is minimal non-metric", claim_c6_minimal),
     Claim("p5bar-nonmetric-minimal", "based complement of the 5-path is minimal non-metric", claim_p5bar_nonmetric_minimal),
     Claim("p5bar-minus-a-chart", "the printed deleted-vertex chart", claim_p5bar_minus_a_chart),

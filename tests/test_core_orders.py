@@ -1,9 +1,10 @@
-"""Direct tests of the core-order symmetry layer of the decider.
+"""Direct tests of the core-order layer of the decider.
 
-``_core_automorphisms`` and ``_core_orders`` decide which core orders the
-search skips; one wrong map there would skip an order that holds the only
-witness.  Each test checks them against a reference built here by brute
-force, or by the dihedral group of a cycle.
+``_core_automorphisms``, ``_is_word_pattern`` and ``_core_orders`` decide
+which core orders the search skips; one wrong map or one wrongly rejected
+link there would skip an order that holds the only witness.  Each test
+checks them against a reference built here by brute force (every step
+word, every permutation), or by the dihedral group of a cycle.
 """
 
 import itertools
@@ -12,7 +13,16 @@ import tracemalloc
 
 import pytest
 
-from geodesic.decider import AUTOMORPHISM_CAP, _core_automorphisms, _core_orders, find_complete_core
+from geodesic.decider import (
+    AUTOMORPHISM_CAP,
+    DecideOptions,
+    _core_automorphisms,
+    _core_orders,
+    _is_word_pattern,
+    _pair_bit,
+    decide_metric,
+    find_complete_core,
+)
 from geodesic.hypergraphs import Hypergraph3, based_hypergraph, complement, cycle_graph, path_graph, sorted_triple
 
 
@@ -78,6 +88,45 @@ def _orbit_leaders(core: tuple[int, ...], images: set[tuple[int, ...]]) -> list[
     return sorted(leaders)
 
 
+def _word_patterns(k: int) -> set[frozenset]:
+    """R(w), and R(w) with J(w) when L < R, for every step word w in
+    {+, -, 0}^(k-1), as sets of position pairs."""
+    patterns = set()
+    for w in itertools.product("+-0", repeat=k - 1):
+        runs = frozenset(
+            (i, j) for i, j in itertools.combinations(range(k), 2) if w[i] != "0" and len(set(w[i:j])) == 1
+        )
+        patterns.add(runs)
+        left = next((s for s in range(k - 1) if w[s] != "-"), k - 1)
+        right = next((s + 1 for s in reversed(range(k - 1)) if w[s] != "+"), 0)
+        if left < right:
+            patterns.add(runs | {(i, j) for i in range(left + 1) for j in range(right, k)})
+    return patterns
+
+
+def _mask(pairs) -> int:
+    return sum(_pair_bit(i, j) for i, j in pairs)
+
+
+def _word_filtered(h: Hypergraph3, core: tuple[int, ...], orders: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The whole orders under which the link of every outside vertex is a word pattern."""
+    patterns = _word_patterns(len(core))
+    outside = [x for x in range(h.n) if x not in core]
+    return [
+        order
+        for order in orders
+        if all(
+            frozenset(
+                (i, j)
+                for i, j in itertools.combinations(range(len(order)), 2)
+                if sorted_triple(x, order[i], order[j]) in h.triples
+            )
+            in patterns
+            for x in outside
+        )
+    ]
+
+
 def _core(h: Hypergraph3) -> tuple[int, ...]:
     core = find_complete_core(h)
     assert core is not None
@@ -125,29 +174,67 @@ def test_complete_seven_vertex_core_exceeds_cap(h):
 @pytest.mark.parametrize("h", SMALL.values(), ids=SMALL.keys())
 def test_core_orders_are_orbit_leaders(h):
     core = _core(h)
-    assert list(_core_orders(h, core)) == _orbit_leaders(core, _brute_automorphisms(h, core))
+    leaders = _orbit_leaders(core, _brute_automorphisms(h, core))
+    assert list(_core_orders(h, core)) == _word_filtered(h, core, leaders)
 
 
 @pytest.mark.parametrize("n", [7, 8])
 def test_cycle_core_orders_are_dihedral_orbit_leaders(n):
     h = based_hypergraph(cycle_graph(n))
     core = _core(h)
-    assert list(_core_orders(h, core)) == _orbit_leaders(core, _dihedral(n))
+    assert list(_core_orders(h, core)) == _word_filtered(h, core, _orbit_leaders(core, _dihedral(n)))
 
 
 def test_core_orders_memory_is_bounded():
-    # based C8 has 8! = 40,320 core orders; remembering each visited one
-    # would take several megabytes
-    h = based_hypergraph(cycle_graph(8))
+    # A complete core 0..6 with no automorphism: vertices 7, 8 and 9 tag
+    # each core vertex c by the bits of c, and vertex 10's link is the
+    # pair {0, 1}, a word pattern iff 0 and 1 are adjacent or at both
+    # ends: (2 * 6! + 2 * 5!) / 2 = 840 orders, up to reversal.
+    # Remembering each visited one would take over 100 kB.
+    triples = list(itertools.combinations(range(7), 3)) + [(0, 1, 10)]
+    triples += [(c, *pair) for c in range(7) for bit, pair in enumerate([(7, 8), (7, 9), (8, 9)]) if c >> bit & 1]
+    h = Hypergraph3.from_triples(11, triples)
     core = _core(h)
+    assert core == tuple(range(7))
+    assert len(_core_automorphisms(h, core, AUTOMORPHISM_CAP)) == 1
     tracemalloc.start()
     try:
         count = sum(1 for _ in _core_orders(h, core))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert count == 1320
-    assert peak < 1 << 20
+    assert count == 840
+    assert peak < 1 << 16
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_word_check_matches_every_pair_set(k):
+    patterns = {_mask(p) for p in _word_patterns(k)}
+    for link in range(1 << (k * (k - 1) // 2)):
+        assert _is_word_pattern(k, link) == (link in patterns), (k, link)
+
+
+@pytest.mark.parametrize("k", [7, 8])
+def test_word_check_matches_patterns_and_their_flips(k):
+    patterns = {_mask(p) for p in _word_patterns(k)}
+    for link in patterns:
+        assert _is_word_pattern(k, link)
+        for bit in range(k * (k - 1) // 2):
+            flipped = link ^ 1 << bit
+            assert _is_word_pattern(k, flipped) == (flipped in patterns), (k, flipped)
+
+
+def test_word_filter_agrees_with_closure_search():
+    # A wrongly rejected core order would turn a metric input non-metric.
+    verdicts = []
+    for seed, k, density in itertools.product(range(20), (5, 6), (0.1, 0.2, 0.3)):
+        h = _planted(seed, k, 2, density)
+        if find_complete_core(h) is None:
+            continue
+        verdict = decide_metric(h).metric
+        assert verdict == decide_metric(h, DecideOptions(core_order=False)).metric, (seed, k, density)
+        verdicts.append(verdict)
+    assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
 
 
 def _fixpoint_core(h: Hypergraph3) -> tuple[int, ...]:

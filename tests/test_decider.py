@@ -21,6 +21,7 @@ from geodesic.hypergraphs import (
     path_graph,
 )
 from geodesic.metric import hypergraph_of
+from test_core_orders import _planted
 
 # Verified non-metric by full naive enumeration (all 3^8 = 6561 total
 # orientations infeasible); frozen here as a regression anchor.
@@ -81,20 +82,34 @@ class TestPaperInstances:
         assert not decide_metric(NONMETRIC_6V_8T).metric
 
 
-# Search statistics of the default decision, pinned so that any change to
-# the order in which closure derives facts, or to the branching, shows.
-PAPER_STATS = [
-    (based_hypergraph(cycle_graph(6)), SearchStats(323, {"non-hyperedge": 201, "middle-clash": 27})),
-    (based_hypergraph(cycle_graph(7)), SearchStats(13, {"non-hyperedge": 5}, leaves_solved=1)),
-    (based_hypergraph(cycle_graph(8)), SearchStats(9867, {"non-hyperedge": 6290, "middle-clash": 728})),
-    (based_hypergraph(complement(path_graph(5))), SearchStats(305, {"non-hyperedge": 193, "middle-clash": 21})),
-    (NONMETRIC_6V_8T, SearchStats(129, {"non-hyperedge": 75, "middle-clash": 5}, leaves_infeasible=7)),
-]
+# Search statistics, pinned so that any change to the order in which
+# closure derives facts, or to the branching, shows.  With core orders
+# (the default), the apex-word filter leaves based C6, C8 and P5-bar no
+# order to search; without them, the closure order is pinned on C6 and
+# P5-bar.
+CLOSURE_ONLY = DecideOptions(core_order=False)
+PAPER_STATS = {
+    "C6": (based_hypergraph(cycle_graph(6)), None, SearchStats()),
+    "C7": (based_hypergraph(cycle_graph(7)), None, SearchStats(13, {"non-hyperedge": 5}, leaves_solved=1)),
+    "C8": (based_hypergraph(cycle_graph(8)), None, SearchStats()),
+    "P5-bar": (based_hypergraph(complement(path_graph(5))), None, SearchStats()),
+    "6v8t": (NONMETRIC_6V_8T, None, SearchStats(129, {"non-hyperedge": 75, "middle-clash": 5}, leaves_infeasible=7)),
+    "C6-closure": (
+        based_hypergraph(cycle_graph(6)),
+        CLOSURE_ONLY,
+        SearchStats(4617, {"middle-clash": 1438, "non-hyperedge": 1641}),
+    ),
+    "P5-bar-closure": (
+        based_hypergraph(complement(path_graph(5))),
+        CLOSURE_ONLY,
+        SearchStats(951, {"middle-clash": 271, "non-hyperedge": 364}),
+    ),
+}
 
 
-@pytest.mark.parametrize("h, stats", PAPER_STATS, ids=["C6", "C7", "C8", "P5-bar", "6v8t"])
-def test_paper_instance_stats_pinned(h, stats):
-    assert decide_metric(h).stats == stats
+@pytest.mark.parametrize("h, options, stats", PAPER_STATS.values(), ids=PAPER_STATS.keys())
+def test_paper_instance_stats_pinned(h, options, stats):
+    assert decide_metric(h, options).stats == stats
 
 
 # Witness distance matrices of the default decision on based C7 and C9:
@@ -212,6 +227,9 @@ STRIDED = {
     "6v8t": NONMETRIC_6V_8T,
     "7v-no-core": METRIC_7V_NO_CORE,
     "edgeless": Hypergraph3.from_triples(5, []),
+    # non-metric with 3 and 5 core orders left by the apex-word filter
+    "planted-24": _planted(24, 5, 2, 0.5),
+    "planted-31": _planted(31, 5, 2, 0.5),
 }
 
 
