@@ -67,7 +67,7 @@ from .obstacles import (
     verify_cycle_obstacle_minimality,
 )
 from .orientation import ClosureConflict, OrientationAssignment, orientation_closure
-from .replay import ReplayContext, ReplayReport, run_manifest
+from .replay import ReplayReport, run_manifest
 
 __version__ = "0.1.0"
 
@@ -88,7 +88,6 @@ __all__ = [
     "ObstacleRouteInapplicable",
     "OrientationAssignment",
     "PairEquivalence",
-    "ReplayContext",
     "ReplayReport",
     "SearchStats",
     "Verdict",

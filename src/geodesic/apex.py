@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .metric import MetricSpace, betweenness_triples
+from .metric import MetricSpace, betweenness_lookup, betweenness_triples
 
 Pair = tuple[int, int]
 
@@ -68,12 +68,7 @@ def apex_classification(m: MetricSpace, order: Sequence[str], apex: str) -> Apex
     if apex in order:
         raise ValueError("apex must not be part of the ordered core")
     labels = list(order)
-    facts = {(f.u, f.v, f.w) for f in betweenness_triples(m)}
-
-    def tight(a: str, b: str, c: str) -> bool:
-        x, z = (a, c) if a < c else (c, a)
-        return (x, b, z) in facts
-
+    tight = betweenness_lookup(betweenness_triples(m))
     for i, j, k in itertools.combinations(range(len(labels)), 3):
         if not tight(labels[i], labels[j], labels[k]):
             raise ValueError(

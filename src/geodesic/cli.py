@@ -3,12 +3,15 @@
 Subcommands: analyze, decide, construct, obstacle, enumerate,
 verify-paper.  Exit codes: 0 success (for ``decide``: metric),
 10 non-metric, 1 failed verification claims, 2 usage or input errors.
+Every input error (an unreadable, malformed or unwritable file, an
+invalid object, a size over a cap) reaches ``main`` as an ``OSError`` or
+``ValueError`` and is reported there as one ``error:`` line on standard
+error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -16,16 +19,10 @@ from typing import Optional
 
 from . import serialization as ser
 from .constructions import c4_based_metric, odd_cycle_metric, p5bar_minus_a_metric, path_based_metric
-from .decider import DecideOptions, decide_metric, decide_metric_naive
+from .decider import decide_metric, decide_metric_naive
 from .enumeration import canonical_form, enumerate_minimal_nonmetric
 from .hypergraphs import based_hypergraph
-from .metric import (
-    MetricValidationError,
-    betweenness_triples,
-    hypergraph_of,
-    line,
-    line_partition,
-)
+from .metric import betweenness_triples, hypergraph_of, line, line_partition
 from .obstacles import ObstacleRouteInapplicable, certify_obstacle
 from .replay import run_manifest
 
@@ -49,31 +46,9 @@ MAX_DECIDE_VERTICES = 16
 # would otherwise hang the command.
 MAX_CHART_POINTS = 41
 
-# Largest worker count for ``-j`` / ``GEODESIC_THREADS``: workers beyond the
-# number of CPUs only add process start-up and duplicated search.
-MAX_THREADS = os.cpu_count() or 1
-
-
-def _thread_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if not 1 <= value <= MAX_THREADS:
-        raise argparse.ArgumentTypeError(f"{value} is outside 1..{MAX_THREADS} (the CPU count)")
-    return value
-
-
-def _default_threads() -> str:
-    """The ``-j`` default: ``GEODESIC_THREADS`` or 1, checked by argparse like ``-j``."""
-    return os.environ.get("GEODESIC_THREADS", "1")
-
 
 def _read_json(path: str) -> dict:
-    try:
-        return ser.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"error: cannot read {path}: {exc}") from exc
+    return ser.loads(Path(path).read_text())
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -84,11 +59,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        m = ser.metric_from_dict(_read_json(args.metric_file))
-    except (ValueError, MetricValidationError) as exc:
-        print(f"error: invalid metric: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    m = ser.metric_from_dict(_read_json(args.metric_file))
     facts = sorted(betweenness_triples(m), key=lambda f: (f.u, f.v, f.w))
     print(f"points ({len(m.points)}): {' '.join(m.points)}")
     print(f"betweenness facts ({len(facts)}):")
@@ -112,22 +83,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_decide(args: argparse.Namespace) -> int:
-    try:
-        h = ser.hypergraph_from_dict(_read_json(args.hypergraph_file))
-    except ValueError as exc:
-        print(f"error: invalid hypergraph: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    h = ser.hypergraph_from_dict(_read_json(args.hypergraph_file))
     if h.n > MAX_DECIDE_VERTICES:
-        print(f"error: {h.n} vertices; decide accepts at most {MAX_DECIDE_VERTICES}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        if args.naive:
-            verdict = decide_metric_naive(h)
-        else:
-            verdict = decide_metric(h, DecideOptions(threads=args.threads))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError(f"{h.n} vertices; decide accepts at most {MAX_DECIDE_VERTICES}")
+    verdict = decide_metric_naive(h) if args.naive else decide_metric(h)
     _emit(ser.dumps(ser.verdict_to_dict(verdict), compact=args.compact), args.output)
     return EXIT_OK if verdict.metric else EXIT_NONMETRIC
 
@@ -138,46 +97,36 @@ def _chart_size(points: int) -> None:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    try:
-        if args.name == "odd-cycle":
-            if args.s is None:
-                raise ValueError("odd-cycle needs --s")
-            _chart_size(2 * args.s + 2)
-            m = odd_cycle_metric(args.s)
-        elif args.name == "path":
-            if args.k is None:
-                raise ValueError("path needs --k")
-            _chart_size(args.k + 1)
-            m = path_based_metric(args.k)
-        elif args.name == "c4":
-            m = c4_based_metric()
-        else:
-            m = p5bar_minus_a_metric()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    if args.name == "odd-cycle":
+        if args.s is None:
+            raise ValueError("odd-cycle needs --s")
+        _chart_size(2 * args.s + 2)
+        m = odd_cycle_metric(args.s)
+    elif args.name == "path":
+        if args.k is None:
+            raise ValueError("path needs --k")
+        _chart_size(args.k + 1)
+        m = path_based_metric(args.k)
+    elif args.name == "c4":
+        m = c4_based_metric()
+    else:
+        m = p5bar_minus_a_metric()
     _emit(ser.dumps(ser.metric_to_dict(m), compact=args.compact), args.output)
     return EXIT_OK
 
 
 def cmd_obstacle(args: argparse.Namespace) -> int:
-    try:
-        g = ser.graph_from_dict(_read_json(args.graph_file))
-    except ValueError as exc:
-        print(f"error: invalid graph: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    g = ser.graph_from_dict(_read_json(args.graph_file))
     # The based hypergraphs of g and of its complement have n + 1 vertices.
     if g.n + 1 > MAX_DECIDE_VERTICES:
-        print(f"error: {g.n} vertices; obstacle accepts at most {MAX_DECIDE_VERTICES - 1}", file=sys.stderr)
-        return EXIT_ERROR
-    options = DecideOptions(threads=args.threads)
+        raise ValueError(f"{g.n} vertices; obstacle accepts at most {MAX_DECIDE_VERTICES - 1}")
     try:
-        cert = certify_obstacle(g, options)
+        cert = certify_obstacle(g)
     except ObstacleRouteInapplicable as exc:
         _emit(ser.dumps({"status": "inapplicable", "reason": str(exc)}, compact=args.compact), args.output)
         return EXIT_OK
     if cert is None:
-        based_metric = decide_metric(based_hypergraph(g), options).metric
+        based_metric = decide_metric(based_hypergraph(g)).metric
         reason = (
             "the hypergraph based on the graph is metric"
             if based_metric
@@ -196,11 +145,7 @@ def cmd_obstacle(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    try:
-        result = enumerate_minimal_nonmetric(args.n, budget=args.budget)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    result = enumerate_minimal_nonmetric(args.n, budget=args.budget)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -228,11 +173,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_verify_paper(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
-    try:
-        report = run_manifest(only=args.claim)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    report = run_manifest(only=args.claim)
     for line_text in report.lines():
         print(line_text)
     total = time.monotonic() - t0
@@ -255,10 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", help="decide whether a hypergraph file is metric (exit 0) or not (exit 10)")
     p.add_argument("hypergraph_file")
     p.add_argument("--naive", action="store_true", help="full 3^k enumeration, no propagation (reference oracle)")
-    p.add_argument(
-        "--threads", "-j", type=_thread_count, default=_default_threads(),
-        help=f"worker processes, at most {MAX_THREADS} (default: GEODESIC_THREADS or 1)",
-    )
     p.add_argument("--output", "-o", default=None, help="write verdict JSON here instead of stdout")
     p.add_argument("--compact", action="store_true", help="compact JSON")
     p.set_defaults(fn=cmd_decide)
@@ -273,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("obstacle", help="certify a graph's edge/non-edge equivalence as an obstacle")
     p.add_argument("graph_file")
-    p.add_argument("--threads", "-j", type=_thread_count, default=_default_threads())
     p.add_argument("--output", "-o", default=None)
     p.add_argument("--compact", action="store_true")
     p.set_defaults(fn=cmd_obstacle)
@@ -300,11 +236,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return EXIT_ERROR
-        return int(exc.code or 0)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

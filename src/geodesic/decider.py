@@ -118,11 +118,11 @@ def find_complete_core(h: Hypergraph3) -> Optional[tuple[int, ...]]:
 def _core_automorphisms(h: Hypergraph3, core: tuple[int, ...], cap: int) -> Optional[list[dict[int, int]]]:
     """Permutations of the core, fixing everything else, that preserve h.
 
-    Backtracking with degree filtering; None when more than ``cap`` maps
-    exist (callers then reduce by reversal only, which is always sound).
+    Backtracking, filtered by the number of hyperedges each core vertex
+    shares with outside vertices; None when more than ``cap`` maps exist
+    (callers then reduce by reversal only, which is always sound).
     """
     core_set = set(core)
-    deg = h.degrees()
     outside_deg = [0] * h.n
     for t in h.triples:
         outs = sum(1 for v in t if v not in core_set)
@@ -153,7 +153,7 @@ def _core_automorphisms(h: Hypergraph3, core: tuple[int, ...], cap: int) -> Opti
             return len(found) <= cap
         v = core[k]
         for w in core:
-            if w in used or deg[w] != deg[v] or outside_deg[w] != outside_deg[v]:
+            if w in used or outside_deg[w] != outside_deg[v]:
                 continue
             mapping[v] = w
             used.add(w)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .hypergraphs import Hypergraph3, PairEquivalence
 
@@ -214,6 +214,17 @@ def induced_subspace(m: MetricSpace, subset: Iterable[str]) -> MetricSpace:
     return MetricSpace(pts, rows)
 
 
+def betweenness_lookup(facts: Iterable[Betweenness]) -> Callable[[str, str, str], bool]:
+    """A test ``between(a, b, c)``: is ``[a b c]`` (read either way) in ``facts``?"""
+    present = {(f.u, f.v, f.w) for f in facts}
+
+    def between(a: str, b: str, c: str) -> bool:
+        x, z = (a, c) if a < c else (c, a)
+        return (x, b, z) in present
+
+    return between
+
+
 def recover_linear_order(m: MetricSpace, subset: Iterable[str]) -> Optional[list[str]]:
     """Find an ordering v0..vk of ``subset`` with every [v_a v_b v_c] tight.
 
@@ -224,12 +235,7 @@ def recover_linear_order(m: MetricSpace, subset: Iterable[str]) -> Optional[list
     sets the collinear triples may be cyclic, in which case returns None.
     """
     labels = sorted(set(subset))
-    facts = {(f.u, f.v, f.w) for f in betweenness_triples(m)}
-
-    def tight(a: str, b: str, c: str) -> bool:
-        x, z = (a, c) if a < c else (c, a)
-        return (x, b, z) in facts
-
+    tight = betweenness_lookup(betweenness_triples(m))
     for a, b, c in itertools.combinations(labels, 3):
         if not (tight(a, b, c) or tight(b, a, c) or tight(a, c, b)):
             raise ValueError(f"triple {{{a},{b},{c}}} of the subset is not collinear")
@@ -256,12 +262,7 @@ def menger_violations(facts: Iterable[Betweenness]) -> list[tuple[str, str, str,
     Pure set logic on a given fact set, so corrupted inputs can be
     checked directly; genuine metric spaces never produce violations.
     """
-    present = {(f.u, f.v, f.w) for f in facts}
-
-    def has(a: str, b: str, c: str) -> bool:
-        x, z = (a, c) if a < c else (c, a)
-        return (x, b, z) in present
-
+    has = betweenness_lookup(facts)
     points = sorted({p for f in facts for p in (f.u, f.v, f.w)})
     bad: list[tuple[str, str, str, str]] = []
     for a, b, c, d in itertools.permutations(points, 4):

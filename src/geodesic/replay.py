@@ -27,7 +27,6 @@ from .hypergraphs import (
 )
 from .metric import (
     Betweenness,
-    MetricSpace,
     betweenness_triples,
     check_meq,
     hypergraph_of,
@@ -35,7 +34,7 @@ from .metric import (
 )
 from .obstacles import certify_obstacle, cycle_obstacle_restrictions
 from .suites import (
-    DEFAULT_CASES,
+    SUITE_CASES,
     run_apex_implication_suite,
     run_menger_suite,
     run_order_recovery_suite,
@@ -46,14 +45,6 @@ from .suites import (
 # Time budget of the n=6 enumeration, in seconds; the complete run takes
 # well under a minute, so hitting it fails the claim as a performance fault.
 ENUMERATION_BUDGET = 900.0
-
-
-@dataclass
-class ReplayContext:
-    """The harness's one knob: the negative-control override lets a test
-    corrupt one input chart and watch the right claim fail."""
-
-    c4_chart_override: Optional[MetricSpace] = None
 
 
 @dataclass(frozen=True)
@@ -108,7 +99,7 @@ def _require_budget(t0: float, budget: float, what: str) -> None:
 # --- claim bodies ----------------------------------------------------------
 
 
-def claim_odd_cycle_charts(ctx: ReplayContext) -> str:
+def claim_odd_cycle_charts() -> str:
     for s in range(1, 6):
         m = odd_cycle_metric(s)
         _require(
@@ -118,7 +109,7 @@ def claim_odd_cycle_charts(ctx: ReplayContext) -> str:
     return "s=1..5 charts induce their based cycle hypergraphs"
 
 
-def claim_odd_cycles_metric(ctx: ReplayContext) -> str:
+def claim_odd_cycles_metric() -> str:
     t0 = _cold_clock()
     for n in (3, 5, 7):
         v = decide_metric(based_hypergraph(cycle_graph(n)))
@@ -141,8 +132,8 @@ _C4_EXCLUDED = [
 ]
 
 
-def claim_c4_chart(ctx: ReplayContext) -> str:
-    m = ctx.c4_chart_override or c4_based_metric()
+def claim_c4_chart() -> str:
+    m = c4_based_metric()
     facts = betweenness_triples(m)
     expected = {Betweenness(*f) for f in _C4_FACTS}
     _require(facts == expected, "4-cycle chart betweenness list differs from the printed one")
@@ -154,7 +145,7 @@ def claim_c4_chart(ctx: ReplayContext) -> str:
     return "chart matches the printed 8 facts; based 4-cycle metric"
 
 
-def claim_even_cycles_nonmetric(ctx: ReplayContext) -> str:
+def claim_even_cycles_nonmetric() -> str:
     for n, budget in ((6, 120.0), (8, 900.0), (10, 60.0)):
         t0 = _cold_clock()
         v = decide_metric(based_hypergraph(cycle_graph(n)))
@@ -163,13 +154,13 @@ def claim_even_cycles_nonmetric(ctx: ReplayContext) -> str:
     return "based 6-, 8- and 10-cycles non-metric within budget"
 
 
-def claim_c6_minimal(ctx: ReplayContext) -> str:
+def claim_c6_minimal() -> str:
     h = based_hypergraph(cycle_graph(6))
     _require(is_minimal_nonmetric(h), "based 6-cycle should be minimal non-metric")
     return "all 7 vertex deletions of the based 6-cycle are metric"
 
 
-def claim_p5bar_nonmetric_minimal(ctx: ReplayContext) -> str:
+def claim_p5bar_nonmetric_minimal() -> str:
     h = based_hypergraph(complement(path_graph(5)))
     v = decide_metric(h)
     _require(not v.metric, "based complement-of-path-5 should be non-metric")
@@ -183,7 +174,7 @@ _P5BAR_MINUS_A_FACTS = [
 ]
 
 
-def claim_p5bar_minus_a_chart(ctx: ReplayContext) -> str:
+def claim_p5bar_minus_a_chart() -> str:
     m = p5bar_minus_a_metric()
     facts = betweenness_triples(m)
     expected = {Betweenness(*f) for f in _P5BAR_MINUS_A_FACTS}
@@ -197,14 +188,14 @@ def claim_p5bar_minus_a_chart(ctx: ReplayContext) -> str:
     return "the 5-point chart realizes a vertex deletion of the based complement of the 5-path exactly"
 
 
-def claim_cycle_obstacles(ctx: ReplayContext) -> str:
+def claim_cycle_obstacles() -> str:
     for n in (6, 8, 10):
         cert = certify_obstacle(cycle_graph(n))
         _require(cert is not None, f"cycle {n} should certify as an obstacle")
     return "6-, 8- and 10-cycle equivalences certified as obstacles"
 
 
-def claim_cycle_obstacle_minimality(ctx: ReplayContext) -> str:
+def claim_cycle_obstacle_minimality() -> str:
     for n in (6, 8):
         checks = cycle_obstacle_restrictions(n)
         _require(all(c.ok for c in checks), f"a restriction of the {n}-cycle failed")
@@ -213,7 +204,7 @@ def claim_cycle_obstacle_minimality(ctx: ReplayContext) -> str:
     return "every one-vertex restriction realizes with exactly two lines"
 
 
-def claim_c4_not_obstacle(ctx: ReplayContext) -> str:
+def claim_c4_not_obstacle() -> str:
     cert = certify_obstacle(cycle_graph(4))
     _require(cert is None, "4-cycle must not certify (its based hypergraph is metric)")
     m = c4_based_metric()
@@ -224,7 +215,7 @@ def claim_c4_not_obstacle(ctx: ReplayContext) -> str:
     return "negative control: 4-cycle equivalence is realized, not an obstacle"
 
 
-def claim_oracle_agreement_n4(ctx: ReplayContext) -> str:
+def claim_oracle_agreement_n4() -> str:
     import itertools as it
 
     all4 = list(it.combinations(range(4), 3))
@@ -238,7 +229,7 @@ def claim_oracle_agreement_n4(ctx: ReplayContext) -> str:
     return "all 16 hypergraphs on 4 vertices agree with the naive decider"
 
 
-def claim_oracle_agreement_n5(ctx: ReplayContext) -> str:
+def claim_oracle_agreement_n5() -> str:
     import itertools as it
     import random
 
@@ -254,28 +245,28 @@ def claim_oracle_agreement_n5(ctx: ReplayContext) -> str:
     return "200 random 5-vertex instances agree with the naive decider"
 
 
-def claim_menger_suite(ctx: ReplayContext) -> str:
+def claim_menger_suite() -> str:
     failures = run_menger_suite()
     _require(not failures, failures[0] if failures else "")
-    return f"no four-point rule violations in {DEFAULT_CASES} random metric spaces"
+    return f"no four-point rule violations in {SUITE_CASES} random metric spaces"
 
 
-def claim_apex_suite(ctx: ReplayContext) -> str:
+def claim_apex_suite() -> str:
     failures = run_apex_implication_suite()
     _require(not failures, failures[0] if failures else "")
-    return f"apex-class closure rules hold in {DEFAULT_CASES} random cases"
+    return f"apex-class closure rules hold in {SUITE_CASES} random cases"
 
 
-def claim_recovery_suite(ctx: ReplayContext) -> str:
+def claim_recovery_suite() -> str:
     failures = run_order_recovery_suite()
     _require(not failures, failures[0] if failures else "")
-    return f"order recovery succeeded in {DEFAULT_CASES} random collinear cases"
+    return f"order recovery succeeded in {SUITE_CASES} random collinear cases"
 
 
-def claim_witness_suite(ctx: ReplayContext) -> str:
+def claim_witness_suite() -> str:
     failures = run_witness_reverify_suite()
     _require(not failures, failures[0] if failures else "")
-    return f"all metric witnesses re-verified in {DEFAULT_CASES} random decisions"
+    return f"all metric witnesses re-verified in {SUITE_CASES} random decisions"
 
 
 _TRIANGLE_FREE = {
@@ -286,7 +277,7 @@ _TRIANGLE_FREE = {
 }
 
 
-def claim_triangle_free_apex_structure(ctx: ReplayContext) -> str:
+def claim_triangle_free_apex_structure() -> str:
     for name, g in _TRIANGLE_FREE.items():
         v = decide_metric(based_hypergraph(g))
         _require(v.metric, f"based {name} should be metric")
@@ -307,7 +298,7 @@ def claim_triangle_free_apex_structure(ctx: ReplayContext) -> str:
     return "triangle-free realizations put apex pairs on consecutive/extreme slots"
 
 
-def claim_odd_cycle_alternation(ctx: ReplayContext) -> str:
+def claim_odd_cycle_alternation() -> str:
     for n in (5, 7):
         v = decide_metric(based_hypergraph(cycle_graph(n)))
         _require(v.metric, f"based cycle {n} should be metric")
@@ -327,7 +318,7 @@ def claim_odd_cycle_alternation(ctx: ReplayContext) -> str:
     return "odd-cycle witnesses alternate consecutive apex pairs between the endpoint classes"
 
 
-def claim_enumeration_small_empty(ctx: ReplayContext) -> str:
+def claim_enumeration_small_empty() -> str:
     res = enumerate_minimal_nonmetric(3, budget=60.0)
     _require(not res.truncated, "3-vertex enumeration should not need the budget")
     _require(not res.found, "no minimal non-metric hypergraph exists on 3 vertices")
@@ -341,7 +332,7 @@ def enumeration_n6() -> EnumerationResult:
     return enumerate_minimal_nonmetric(6, budget=ENUMERATION_BUDGET)
 
 
-def claim_enumeration_rediscovery(ctx: ReplayContext) -> str:
+def claim_enumeration_rediscovery() -> str:
     res = enumeration_n6()
     _require(not res.truncated, f"budget of {ENUMERATION_BUDGET}s exhausted (performance)")
     # 2136 classes of 3-uniform hypergraphs on 6 vertices (OEIS A000665)
@@ -367,7 +358,7 @@ def claim_enumeration_rediscovery(ctx: ReplayContext) -> str:
 class Claim:
     claim_id: str
     description: str
-    run: Callable[[ReplayContext], str]
+    run: Callable[[], str]
 
 
 CLAIMS: tuple[Claim, ...] = (
@@ -394,11 +385,8 @@ CLAIMS: tuple[Claim, ...] = (
 )
 
 
-def run_manifest(
-    only: Optional[str] = None, ctx: Optional[ReplayContext] = None
-) -> ReplayReport:
+def run_manifest(only: Optional[str] = None) -> ReplayReport:
     """Run the full manifest (or a single claim by id) and report."""
-    ctx = ctx or ReplayContext()
     claims = [c for c in CLAIMS if only is None or c.claim_id == only]
     if only is not None and not claims:
         known = ", ".join(c.claim_id for c in CLAIMS)
@@ -407,7 +395,7 @@ def run_manifest(
     for claim in claims:
         t0 = time.monotonic()
         try:
-            detail = claim.run(ctx)
+            detail = claim.run()
             passed = True
         except ClaimFailure as exc:
             detail = str(exc)

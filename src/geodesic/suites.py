@@ -25,7 +25,7 @@ from .metric import (
     validate_metric,
 )
 
-DEFAULT_CASES = 1000  # cases per suite; verify-paper runs and reports this many
+SUITE_CASES = 1000  # cases per suite; verify-paper runs and reports this many
 
 
 def random_shortest_path_metric(rng: random.Random, n: int) -> MetricSpace:
@@ -110,11 +110,11 @@ def random_hypergraph(rng: random.Random, n: int, density: float) -> Hypergraph3
     return Hypergraph3.from_triples(n, triples)
 
 
-def run_menger_suite(cases: int = DEFAULT_CASES, seed: int = 74001) -> list[str]:
+def run_menger_suite() -> list[str]:
     """The four-point rule never fails on validated random metric spaces."""
-    rng = random.Random(seed)
+    rng = random.Random(74001)
     failures = []
-    for i in range(cases):
+    for i in range(SUITE_CASES):
         m = random_shortest_path_metric(rng, rng.randint(3, 7))
         bad = check_menger(m)
         if bad:
@@ -122,12 +122,12 @@ def run_menger_suite(cases: int = DEFAULT_CASES, seed: int = 74001) -> list[str]
     return failures
 
 
-def run_apex_implication_suite(cases: int = DEFAULT_CASES, seed: int = 74002) -> list[str]:
+def run_apex_implication_suite() -> list[str]:
     """Apex-class closure rules (sharpened forms included) hold on random
     linearly ordered cores with an apex."""
-    rng = random.Random(seed)
+    rng = random.Random(74002)
     failures = []
-    for i in range(cases):
+    for i in range(SUITE_CASES):
         n = rng.randint(3, 7)
         m = random_linear_apex_metric(rng, n)
         order = [str(k) for k in range(n)]
@@ -138,11 +138,11 @@ def run_apex_implication_suite(cases: int = DEFAULT_CASES, seed: int = 74002) ->
     return failures
 
 
-def run_order_recovery_suite(cases: int = DEFAULT_CASES, seed: int = 74003) -> list[str]:
+def run_order_recovery_suite() -> list[str]:
     """Order recovery succeeds on every random collinear set of >= 5 points."""
-    rng = random.Random(seed)
+    rng = random.Random(74003)
     failures = []
-    for i in range(cases):
+    for i in range(SUITE_CASES):
         n = rng.randint(5, 9)
         positions = [Fraction(0)]
         for _ in range(n - 1):
@@ -162,11 +162,11 @@ def run_order_recovery_suite(cases: int = DEFAULT_CASES, seed: int = 74003) -> l
     return failures
 
 
-def run_witness_reverify_suite(cases: int = DEFAULT_CASES, seed: int = 74004) -> list[str]:
+def run_witness_reverify_suite() -> list[str]:
     """Every metric verdict's witness induces exactly the input hypergraph."""
-    rng = random.Random(seed)
+    rng = random.Random(74004)
     failures = []
-    for i in range(cases):
+    for i in range(SUITE_CASES):
         n = rng.randint(3, 5)
         h = random_hypergraph(rng, n, rng.choice((0.2, 0.4, 0.6, 0.8)))
         verdict = decide_metric(h)

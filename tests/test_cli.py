@@ -3,8 +3,7 @@ import json
 import pytest
 
 import geodesic.cli as cli
-import geodesic.parallel as parallel
-from geodesic.cli import MAX_CHART_POINTS, MAX_DECIDE_VERTICES, MAX_THREADS, _default_threads, main
+from geodesic.cli import MAX_CHART_POINTS, MAX_DECIDE_VERTICES, main
 from geodesic.hypergraphs import based_hypergraph, complete_graph, cycle_graph
 from geodesic.serialization import dumps, graph_to_dict, hypergraph_to_dict
 
@@ -69,36 +68,40 @@ class TestDecideCommand:
             assert main(["decide", str(p)]) == code
 
 
-class TestThreadBound:
-    @pytest.fixture(autouse=True)
-    def no_pool(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a worker pool was started")
+# Each input error: the command line, with FILE standing for a path in a
+# fresh directory, and the text written there first (None: no file).
+INPUT_ERRORS = {
+    "analyze-missing-file": (["analyze", "FILE"], None),
+    "analyze-malformed-json": (["analyze", "FILE"], "{not json"),
+    "analyze-invalid-metric": (["analyze", "FILE"], dumps({"points": ["p", "q"], "dist": [["0", "1"], ["2", "0"]]})),
+    "decide-missing-file": (["decide", "FILE"], None),
+    "decide-malformed-json": (["decide", "FILE"], "{not json"),
+    "decide-invalid-hypergraph": (["decide", "FILE"], dumps({"n": 3, "triples": [[0, 1, 5]]})),
+    "decide-over-cap": (["decide", "FILE"], dumps({"n": MAX_DECIDE_VERTICES + 1, "triples": []})),
+    "obstacle-missing-file": (["obstacle", "FILE"], None),
+    "obstacle-malformed-json": (["obstacle", "FILE"], "{not json"),
+    "obstacle-invalid-graph": (["obstacle", "FILE"], dumps({"n": 3, "edges": [[0, 0]]})),
+    "obstacle-over-cap": (["obstacle", "FILE"], dumps({"n": MAX_DECIDE_VERTICES, "edges": []})),
+    "construct-over-cap": (["construct", "path", "--k", str(MAX_CHART_POINTS)], None),
+    "enumerate-out-of-range": (["enumerate", "9", "--out", "FILE"], None),
+    "enumerate-out-is-a-file": (["enumerate", "3", "--out", "FILE"], ""),
+}
 
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", refuse)
 
-    def test_default_reads_environment(self, monkeypatch):
-        monkeypatch.delenv("GEODESIC_THREADS", raising=False)
-        assert _default_threads() == "1"
-        monkeypatch.setenv("GEODESIC_THREADS", "3")
-        assert _default_threads() == "3"
+@pytest.mark.parametrize("argv, content", INPUT_ERRORS.values(), ids=INPUT_ERRORS.keys())
+def test_input_error_exits_two_with_one_line(argv, content, tmp_path, capsys):
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_text(content)
+    assert main([str(path) if a == "FILE" else a for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
-    @pytest.mark.parametrize("value", [str(MAX_THREADS + 1), "1000000", "0", "-1", "many"])
-    def test_flag_out_of_range(self, c5_file, value, capsys):
-        assert main(["decide", c5_file, "-j", value]) == 2
-        assert "--threads" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", [str(MAX_THREADS + 1), "1000000", "0", "many"])
-    def test_environment_out_of_range(self, c5_file, value, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("GEODESIC_THREADS", value)
-        assert main(["decide", c5_file]) == 2
-        g = tmp_path / "c5g.json"
-        g.write_text(dumps(graph_to_dict(cycle_graph(5))))
-        assert main(["obstacle", str(g)]) == 2
-
-    def test_flag_overrides_environment(self, c5_file, monkeypatch, capsys):
-        monkeypatch.setenv("GEODESIC_THREADS", str(MAX_THREADS + 1))
-        assert main(["decide", c5_file, "-j", "1"]) == 0
+def test_threads_flag_is_gone(c5_file, capsys):
+    assert main(["decide", c5_file, "-j", "2"]) == 2
+    assert "unrecognized arguments: -j 2" in capsys.readouterr().err
 
 
 class TestConstructCommand:

@@ -1,7 +1,8 @@
 from fractions import Fraction
 
 from geodesic.metric import validate_metric
-from geodesic.replay import CLAIMS, ReplayContext, run_manifest
+import geodesic.replay as replay
+from geodesic.replay import CLAIMS, run_manifest
 
 
 class TestManifest:
@@ -27,7 +28,7 @@ class TestManifest:
         with pytest.raises(ValueError, match="unknown claim"):
             run_manifest(only="nope")
 
-    def test_negative_control_corrupted_chart(self):
+    def test_negative_control_corrupted_chart(self, monkeypatch):
         # a valid metric whose facts differ from the printed chart: the
         # chart claim must flag it while staying a clean failure report
         rows = [
@@ -39,16 +40,16 @@ class TestManifest:
         ]
         rows[0][4] = rows[4][0] = Fraction(5, 2)  # nudge d(a,x)
         corrupted = validate_metric(["a", "b", "c", "d", "x"], rows)
-        ctx = ReplayContext(c4_chart_override=corrupted)
-        report = run_manifest(only="c4-chart", ctx=ctx)
+        monkeypatch.setattr(replay, "c4_based_metric", lambda: corrupted)
+        report = run_manifest(only="c4-chart")
         assert not report.ok
         assert not report.results[0].passed
         assert "FAIL" in report.lines()[0]
 
-    def test_crashing_claims_report_as_failures(self):
+    def test_crashing_claims_report_as_failures(self, monkeypatch):
         # unknown-claim errors raise, but a claim body crash must not
-        # abort the harness; simulate by running with a hostile override
-        ctx = ReplayContext(c4_chart_override="not a metric")  # type: ignore[arg-type]
-        report = run_manifest(only="c4-chart", ctx=ctx)
+        # abort the harness; simulate by handing the claim a non-metric chart
+        monkeypatch.setattr(replay, "c4_based_metric", lambda: "not a metric")
+        report = run_manifest(only="c4-chart")
         assert not report.ok
         assert "Error" in report.results[0].detail or ":" in report.results[0].detail
