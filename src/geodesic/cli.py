@@ -35,15 +35,18 @@ EXIT_NONMETRIC = 10
 # (graph vertices + 1) that ``obstacle`` builds.  Every leaf LP has
 # C(n, 2) variables and up to 3 * C(n, 3) rows, and a based hypergraph
 # lists C(n, 3) triples, so a tiny file naming a huge ``n`` would
-# otherwise exhaust time or memory.  The paper's claims decide at
-# most 9 vertices (based C8), and based C10 on 11 already takes minutes.
+# otherwise exhaust time or memory.  The largest claim input, based C10
+# on 11 vertices, is decided in about 0.06 s; based C14 on 15 takes
+# about 3.5 s, and some seeded inputs on 12-16 vertices run for over
+# 30 s (ROADMAP item 16), so the cap alone does not bound the time.
 MAX_DECIDE_VERTICES = 16
 
-# Most points in a ``construct`` chart: ``odd-cycle --s N`` has 2N + 2,
-# ``path --k N`` has N + 1.  Each chart is re-verified with
-# ``hypergraph_of``, whose time grows about as the cube of the size
-# (``path --k 40`` takes about 0.3 s, ``--k 80`` over 2 s), so a large N
-# would otherwise hang the command.
+# Most points in a ``construct`` chart (``odd-cycle --s N`` has 2N + 2,
+# ``path --k N`` has N + 1) and in an ``analyze`` input.  Both commands
+# take time about cubic in the size (``path --k 40`` takes about 0.3 s,
+# ``--k 80`` over 2 s; ``analyze`` on an equilateral chart about 1 s at
+# 41 points, 8 s at 100 and 75 s at 200, on a 2-core machine with
+# Python 3.11), so a large chart would otherwise hang the command.
 MAX_CHART_POINTS = 41
 
 
@@ -59,7 +62,11 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    m = ser.metric_from_dict(_read_json(args.metric_file))
+    data = _read_json(args.metric_file)
+    points = data.get("points")
+    if isinstance(points, list) and len(points) > MAX_CHART_POINTS:
+        raise ValueError(f"{len(points)} points; analyze accepts at most {MAX_CHART_POINTS}")
+    m = ser.metric_from_dict(data)
     facts = sorted(betweenness_triples(m), key=lambda f: (f.u, f.v, f.w))
     print(f"points ({len(m.points)}): {' '.join(m.points)}")
     print(f"betweenness facts ({len(facts)}):")
@@ -145,7 +152,7 @@ def cmd_obstacle(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    result = enumerate_minimal_nonmetric(args.n, budget=args.budget)
+    result = enumerate_minimal_nonmetric(args.n)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -159,15 +166,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         "n": args.n,
         "count": len(result.found),
         "classes_examined": result.classes_examined,
-        "truncated": result.truncated,
         "elapsed_seconds": round(result.elapsed, 3),
         "entries": entries,
     }
     (outdir / "index.json").write_text(ser.dumps(index) + "\n")
-    print(
-        f"{len(result.found)} minimal non-metric class(es) on {args.n} vertices"
-        f" -> {outdir} ({'truncated' if result.truncated else 'complete'})"
-    )
+    print(f"{len(result.found)} minimal non-metric class(es) on {args.n} vertices -> {outdir}")
     return EXIT_OK
 
 
@@ -216,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="catalog minimal non-metric hypergraphs on n vertices")
     p.add_argument("n", type=int)
-    p.add_argument("--budget", type=float, default=600.0, help="time budget in seconds")
     p.add_argument("--out", default="catalog", help="output directory")
     p.set_defaults(fn=cmd_enumerate)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
@@ -145,27 +145,15 @@ def canonical_form(h: Hypergraph3) -> bytes:
 @dataclass(frozen=True)
 class EnumerationResult:
     found: tuple[Hypergraph3, ...]
-    truncated: bool
     classes_examined: int
-    elapsed: float
+    elapsed: float = field(compare=False)
 
 
-def enumerate_minimal_nonmetric(n: int, budget: Optional[float] = None) -> EnumerationResult:
-    """All isomorphism classes on ``n`` vertices that are minimal non-metric.
-
-    ``budget`` is a wall-clock limit in seconds; when it runs out the
-    result carries what was found so far with ``truncated`` set.
-    """
+def enumerate_minimal_nonmetric(n: int) -> EnumerationResult:
+    """All isomorphism classes on ``n`` vertices that are minimal non-metric."""
     if not 3 <= n <= 6:
         raise ValueError("enumeration supported for 3 <= n <= 6")
     start = time.monotonic()
-
-    def out_of_time() -> bool:
-        return budget is not None and time.monotonic() - start > budget
-
-    def truncated(found: list[Hypergraph3], examined: int) -> EnumerationResult:
-        return EnumerationResult(tuple(found), True, examined, time.monotonic() - start)
-
     edgeless = Hypergraph3(2, frozenset())
     level = {canonical_form(edgeless): edgeless}
     k = 2
@@ -183,19 +171,13 @@ def enumerate_minimal_nonmetric(n: int, budget: Optional[float] = None) -> Enume
                 )
                 candidate = Hypergraph3(k, parent.triples | extra)
                 level.setdefault(canonical_form(candidate), candidate)
-            if out_of_time():
-                return truncated([], 0)
 
     # Every metric class on n - 1 vertices extends a metric class on
     # n - 2, so it is among the parents: a deletion is metric iff its
     # class is a parent, a lookup and not a decision.
     found: list[Hypergraph3] = []
-    examined = 0
     for candidate in level.values():
-        if out_of_time():
-            return truncated(found, examined)
-        examined += 1
         if all(canonical_form(candidate.delete_vertex(v)) in parents for v in range(n)):
             if not decide_metric(candidate).metric:
                 found.append(candidate)
-    return EnumerationResult(tuple(found), False, examined, time.monotonic() - start)
+    return EnumerationResult(tuple(found), len(level), time.monotonic() - start)

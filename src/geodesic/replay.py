@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from .apex import apex_classification
 from .constructions import c4_based_metric, odd_cycle_metric, p5bar_minus_a_metric
-from .decider import clear_decision_cache, decide_metric, decide_metric_naive, is_minimal_nonmetric
+from .decider import decide_metric, decide_metric_naive, is_minimal_nonmetric
 from .enumeration import EnumerationResult, canonical_form, enumerate_minimal_nonmetric
 from .hypergraphs import (
     Hypergraph3,
@@ -40,11 +40,6 @@ from .suites import (
     run_order_recovery_suite,
     run_witness_reverify_suite,
 )
-
-
-# Time budget of the n=6 enumeration, in seconds; the complete run takes
-# well under a minute, so hitting it fails the claim as a performance fault.
-ENUMERATION_BUDGET = 900.0
 
 
 @dataclass(frozen=True)
@@ -84,18 +79,6 @@ def _require(cond: bool, message: str) -> None:
         raise ClaimFailure(message)
 
 
-def _cold_clock() -> float:
-    """Start a timed claim: clear the decision cache first, so that an
-    earlier claim's cached verdicts do not make the budget meaningless."""
-    clear_decision_cache()
-    return time.monotonic()
-
-
-def _require_budget(t0: float, budget: float, what: str) -> None:
-    elapsed = time.monotonic() - t0
-    _require(elapsed < budget, f"{what} took {elapsed:.1f}s, budget {budget}s (performance)")
-
-
 # --- claim bodies ----------------------------------------------------------
 
 
@@ -110,7 +93,6 @@ def claim_odd_cycle_charts() -> str:
 
 
 def claim_odd_cycles_metric() -> str:
-    t0 = _cold_clock()
     for n in (3, 5, 7):
         v = decide_metric(based_hypergraph(cycle_graph(n)))
         _require(v.metric, f"based cycle on {n} vertices should be metric")
@@ -118,8 +100,7 @@ def claim_odd_cycles_metric() -> str:
             hypergraph_of(v.witness) == based_hypergraph(cycle_graph(n)),
             f"witness for cycle {n} fails re-verification",
         )
-    _require_budget(t0, 60.0, "deciding cycles 3, 5, 7")
-    return "decider realizes based odd cycles n=3,5,7 within budget"
+    return "decider realizes based odd cycles n=3,5,7"
 
 
 _C4_FACTS = [
@@ -146,12 +127,10 @@ def claim_c4_chart() -> str:
 
 
 def claim_even_cycles_nonmetric() -> str:
-    for n, budget in ((6, 120.0), (8, 900.0), (10, 60.0)):
-        t0 = _cold_clock()
+    for n in (6, 8, 10):
         v = decide_metric(based_hypergraph(cycle_graph(n)))
         _require(not v.metric, f"based cycle on {n} vertices should be non-metric")
-        _require_budget(t0, budget, f"cycle {n}")
-    return "based 6-, 8- and 10-cycles non-metric within budget"
+    return "based 6-, 8- and 10-cycles non-metric"
 
 
 def claim_c6_minimal() -> str:
@@ -319,22 +298,20 @@ def claim_odd_cycle_alternation() -> str:
 
 
 def claim_enumeration_small_empty() -> str:
-    res = enumerate_minimal_nonmetric(3, budget=60.0)
-    _require(not res.truncated, "3-vertex enumeration should not need the budget")
+    res = enumerate_minimal_nonmetric(3)
     _require(not res.found, "no minimal non-metric hypergraph exists on 3 vertices")
     return "enumeration on 3 vertices is empty"
 
 
 @functools.cache
 def enumeration_n6() -> EnumerationResult:
-    """The n=6 enumeration under ``ENUMERATION_BUDGET``, run once per process
-    and shared by the claim below and the tests that inspect its findings."""
-    return enumerate_minimal_nonmetric(6, budget=ENUMERATION_BUDGET)
+    """The n=6 enumeration, run once per process and shared by the claim
+    below and the tests that inspect its findings."""
+    return enumerate_minimal_nonmetric(6)
 
 
 def claim_enumeration_rediscovery() -> str:
     res = enumeration_n6()
-    _require(not res.truncated, f"budget of {ENUMERATION_BUDGET}s exhausted (performance)")
     # 2136 classes of 3-uniform hypergraphs on 6 vertices (OEIS A000665)
     _require(
         (len(res.found), res.classes_examined) == (748, 2136),

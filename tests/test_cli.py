@@ -1,11 +1,20 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 import geodesic.cli as cli
+import geodesic.serialization as ser
 from geodesic.cli import MAX_CHART_POINTS, MAX_DECIDE_VERTICES, main
 from geodesic.hypergraphs import based_hypergraph, complete_graph, cycle_graph
 from geodesic.serialization import dumps, graph_to_dict, hypergraph_to_dict
+
+
+def equilateral_chart(points: int) -> dict:
+    labels = [f"p{i}" for i in range(points)]
+    return {"points": labels, "dist": [["0" if i == j else "1" for j in range(points)] for i in range(points)]}
 
 
 @pytest.fixture
@@ -74,6 +83,7 @@ INPUT_ERRORS = {
     "analyze-missing-file": (["analyze", "FILE"], None),
     "analyze-malformed-json": (["analyze", "FILE"], "{not json"),
     "analyze-invalid-metric": (["analyze", "FILE"], dumps({"points": ["p", "q"], "dist": [["0", "1"], ["2", "0"]]})),
+    "analyze-over-cap": (["analyze", "FILE"], dumps(equilateral_chart(MAX_CHART_POINTS + 1))),
     "decide-missing-file": (["decide", "FILE"], None),
     "decide-malformed-json": (["decide", "FILE"], "{not json"),
     "decide-invalid-hypergraph": (["decide", "FILE"], dumps({"n": 3, "triples": [[0, 1, 5]]})),
@@ -157,6 +167,21 @@ class TestAnalyzeCommand:
         (tmp_path / "bad.json").write_text(dumps({"points": ["p", "q"], "dist": [["0", "1"], ["2", "0"]]}))
         assert main(["analyze", str(tmp_path / "bad.json")]) == 2
 
+    def test_point_cap_boundary(self, tmp_path, monkeypatch, capsys):
+        at_cap = tmp_path / "at_cap.json"
+        at_cap.write_text(dumps(equilateral_chart(MAX_CHART_POINTS)))
+        assert main(["analyze", str(at_cap)]) == 0
+        assert f"points ({MAX_CHART_POINTS}):" in capsys.readouterr().out
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("an over-size chart was validated")
+
+        monkeypatch.setattr(ser, "validate_metric", no_work)
+        over_cap = tmp_path / "over_cap.json"
+        over_cap.write_text(dumps(equilateral_chart(MAX_CHART_POINTS + 1)))
+        assert main(["analyze", str(over_cap)]) == 2
+        assert "at most" in capsys.readouterr().err
+
 
 class TestObstacleCommand:
     def test_c6_certificate(self, tmp_path, capsys):
@@ -205,10 +230,15 @@ class TestEnumerateCommand:
         out = tmp_path / "catalog"
         assert main(["enumerate", "3", "--out", str(out)]) == 0
         index = json.loads((out / "index.json").read_text())
-        assert index["count"] == 0 and not index["truncated"]
+        assert index["count"] == 0 and index["classes_examined"] == 2
+        assert "truncated" not in index
 
     def test_out_of_range(self, capsys):
         assert main(["enumerate", "9"]) == 2
+
+    def test_budget_flag_is_gone(self, tmp_path, capsys):
+        assert main(["enumerate", "6", "--budget", "5", "--out", str(tmp_path)]) == 2
+        assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
 
 
 class TestVerifyPaperCommand:
@@ -219,3 +249,17 @@ class TestVerifyPaperCommand:
 
     def test_unknown_claim(self, capsys):
         assert main(["verify-paper", "--claim", "no-such-claim"]) == 2
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n\n```\n(.*?)^```", readme, re.M | re.S).group(1)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv for argv in commands if argv[:1] == ["geodesic"]]
+    assert len(commands) >= 6
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")
