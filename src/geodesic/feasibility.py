@@ -7,15 +7,33 @@ non-hyperedge triple, and ``>= 1`` on every variable.  The strict system
 is positively homogeneous, so strict feasibility is equivalent to
 feasibility with unit slacks: any strict solution scales to one.
 
-Solved by a phase-1 simplex with Bland's rule (deterministic, cycle
-free) over exact integers.  Each tableau row is stored sparsely, as its
-nonzero integer entries over its own positive denominator, so a pivot
-rewrites only the rows with a nonzero entry in the entering column and
-divides each rewritten row by the gcd of its entries and denominator.
-The phase-1 objective is one more such row.  The denominators are
-positive and cancel in the cross-multiplied ratio test, so every
-entering and leaving choice, and so the vertex found, is the one the
-same Bland pivots pick on the dense tableau.
+The solver looks for a solution with every variable ``>= START`` (10)
+instead, strict rows still ``>= 1``.  By the same homogeneity this loses
+nothing: if ``x`` solves the system, ``START * x`` has every variable
+``>= START`` and every strict row ``>= START >= 1``; and a solution of the
+raised system solves the original.  Substituting ``x = START + y`` puts
+every strict row at ``y_a + y_b - y_c >= 1 - START``, so its slack starts
+basic at ``START - 1 > 0``: the first basis is not degenerate, as it
+would be with ``x = 1 + y``, where every strict row has rhs 0.
+
+Solved by a phase-1 simplex over exact integers.  The entering column is
+Dantzig's: the most negative phase-1 reduced cost, ties by the smallest
+index.  After ``BLAND_AFTER`` (50) consecutive degenerate pivots (leaving
+row rhs 0) it switches to Bland's smallest index until a pivot makes
+progress.  That keeps the search finite: a progressing pivot strictly
+lowers the phase-1 objective, so no basis recurs across one, and a cycle
+would need an endless degenerate run, which from its ``BLAND_AFTER``-th
+pivot on is Bland's, and Bland's rule cannot cycle.  The leaving row is
+the minimum ratio, ties by the smallest basic variable.
+
+Each tableau row is stored sparsely, as its nonzero integer entries over
+its own positive denominator, so a pivot rewrites only the rows with a
+nonzero entry in the entering column and divides each rewritten row by
+the gcd of its entries and denominator.  The phase-1 objective is one
+more such row.  The denominators are positive, so they scale reduced
+costs without reordering them and cancel in the cross-multiplied ratio
+test: every entering and leaving choice, and so the vertex found, is the
+one the same pivots pick on the dense tableau.
 """
 
 from __future__ import annotations
@@ -31,6 +49,14 @@ from .hypergraphs import Hypergraph3, Pair, Triple, sorted_pair
 Constraint = tuple[Pair, Pair, Pair]  # var_a + var_b - var_c  (= 0 or >= 1)
 
 LOWER_BOUND = 1  # every distance variable is at least this
+
+# The solver's variables are at least START, which makes its first basis
+# nondegenerate; equivalent by homogeneity (module docstring).
+START = 10
+
+# Consecutive degenerate pivots after which entering falls back from
+# Dantzig's rule to Bland's until a pivot makes progress.
+BLAND_AFTER = 50
 
 
 @dataclass(frozen=True)
@@ -96,27 +122,31 @@ def partial_feasibility_system(h: Hypergraph3, assignment: dict[Triple, int]) ->
 def solve_exact_feasibility(system: FeasibilitySystem) -> Optional[dict[Pair, Fraction]]:
     """Exact feasibility with witness, or None if genuinely infeasible.
 
-    Deterministic: Bland's smallest-index rule everywhere.  The witness
-    is verified against every constraint before being returned.
+    Solves the equivalent system with every variable ``>= START``, so
+    the witness's distances are at least ``START``: a solution scales by
+    ``START`` into that system, whose rows and bounds imply the original
+    ones (module docstring).  Deterministic: the pivots are a fixed
+    function of the system.  The witness is verified against every
+    constraint of ``system`` before being returned.
     """
     var_index = {p: i for i, p in enumerate(system.variables)}
     nv = len(system.variables)
 
     def row_of(c: Constraint, shift_rhs: int) -> tuple[list[int], int]:
-        # substitute x = LOWER_BOUND + y:  a + b - c (cmp) r  ->  y_a+y_b-y_c (cmp) r - LOWER_BOUND
+        # substitute x = START + y:  a + b - c (cmp) r  ->  y_a+y_b-y_c (cmp) r - START
         coeffs = [0] * nv
         a, b, neg = c
         coeffs[var_index[a]] += 1
         coeffs[var_index[b]] += 1
         coeffs[var_index[neg]] -= 1
-        return coeffs, shift_rhs - LOWER_BOUND
+        return coeffs, shift_rhs - START
 
     eq_rows = [row_of(c, 0) for c in system.equalities]
     ineq_rows = [row_of(c, 1) for c in system.inequalities]
     y = solve_nonneg_feasibility(nv, eq_rows, ineq_rows)
     if y is None:
         return None
-    witness = {p: LOWER_BOUND + y[i] for p, i in var_index.items()}
+    witness = {p: START + y[i] for p, i in var_index.items()}
     _verify_witness(system, witness)
     return witness
 
@@ -139,7 +169,9 @@ def solve_nonneg_feasibility(
 ) -> Optional[list[Fraction]]:
     """Find y >= 0 with A_eq y = b_eq and A_in y >= b_in, or None.
 
-    Integer input rows; phase-1 simplex, minimizing artificial variables.
+    Integer input rows; phase-1 simplex, minimizing artificial variables,
+    with Dantzig's entering rule and Bland's as the anti-cycling fallback
+    (module docstring).
     """
     num_slack = len(inequalities)
     slack_at = num_vars
@@ -189,10 +221,16 @@ def solve_nonneg_feasibility(
 
     # The basic artificials' values are nonnegative, so they are all zero
     # exactly when their sum, the objective's rhs, is.
+    degenerate_run = 0
     while obj.get(rhs_col, 0):
-        # Entering (Bland): smallest non-artificial column whose phase-1
-        # reduced cost is negative.  Artificials never re-enter.
-        entering = min((j for j, v in obj.items() if v > 0 and j < artif_start), default=-1)
+        # Entering: among the non-artificial columns whose phase-1 reduced
+        # cost is negative, the most negative (Dantzig), ties by smallest
+        # index; the smallest index (Bland) after BLAND_AFTER degenerate
+        # pivots in a row.  Artificials never re-enter.
+        if degenerate_run < BLAND_AFTER:
+            _, entering = min(((-v, j) for j, v in obj.items() if v > 0 and j < artif_start), default=(0, -1))
+        else:
+            entering = min((j for j, v in obj.items() if v > 0 and j < artif_start), default=-1)
         if entering < 0:
             return None  # phase-1 optimum positive: infeasible
         # Leaving (Bland): min ratio, ties by smallest basic variable.
@@ -221,6 +259,7 @@ def solve_nonneg_feasibility(
             raise RuntimeError("entering column is already basic; solver bug")
         prow = rows[leave]
         piv = prow[entering]
+        degenerate_run = 0 if prow.get(rhs_col) else degenerate_run + 1
         for i, row, f in hits:
             if i != leave:
                 dens[i] = _pivot_row(row, dens[i], f, piv, prow)

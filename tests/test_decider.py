@@ -21,6 +21,7 @@ from geodesic.hypergraphs import (
     path_graph,
 )
 from geodesic.metric import hypergraph_of
+from geodesic.suites import random_shortest_path_metric
 from test_core_orders import _planted
 
 # Verified non-metric by full naive enumeration (all 3^8 = 6561 total
@@ -113,29 +114,30 @@ def test_paper_instance_stats_pinned(h, options, stats):
 
 
 # Witness distance matrices of the default decision on based C7 and C9:
-# the cycle's vertices on a unit-spaced line, the apex last.  Pinned so
-# that a solver change moving the leaf LP's vertex shows.
+# the cycle's vertices on a line spaced 10 apart (the solver's
+# ``feasibility.START``), the apex last.  Pinned so that a solver change
+# moving the leaf LP's vertex shows.
 WITNESS_C7 = [
-    [0, 1, 2, 3, 4, 5, 6, 3],
-    [1, 0, 1, 2, 3, 4, 5, 4],
-    [2, 1, 0, 1, 2, 3, 4, 3],
-    [3, 2, 1, 0, 1, 2, 3, 4],
-    [4, 3, 2, 1, 0, 1, 2, 3],
-    [5, 4, 3, 2, 1, 0, 1, 4],
-    [6, 5, 4, 3, 2, 1, 0, 3],
-    [3, 4, 3, 4, 3, 4, 3, 0],
+    [0, 10, 20, 30, 40, 50, 60, 30],
+    [10, 0, 10, 20, 30, 40, 50, 40],
+    [20, 10, 0, 10, 20, 30, 40, 30],
+    [30, 20, 10, 0, 10, 20, 30, 40],
+    [40, 30, 20, 10, 0, 10, 20, 30],
+    [50, 40, 30, 20, 10, 0, 10, 40],
+    [60, 50, 40, 30, 20, 10, 0, 30],
+    [30, 40, 30, 40, 30, 40, 30, 0],
 ]
 WITNESS_C9 = [
-    [0, 1, 2, 3, 4, 5, 6, 7, 8, 4],
-    [1, 0, 1, 2, 3, 4, 5, 6, 7, 5],
-    [2, 1, 0, 1, 2, 3, 4, 5, 6, 4],
-    [3, 2, 1, 0, 1, 2, 3, 4, 5, 5],
-    [4, 3, 2, 1, 0, 1, 2, 3, 4, 4],
-    [5, 4, 3, 2, 1, 0, 1, 2, 3, 5],
-    [6, 5, 4, 3, 2, 1, 0, 1, 2, 4],
-    [7, 6, 5, 4, 3, 2, 1, 0, 1, 5],
-    [8, 7, 6, 5, 4, 3, 2, 1, 0, 4],
-    [4, 5, 4, 5, 4, 5, 4, 5, 4, 0],
+    [0, 10, 20, 30, 40, 50, 60, 70, 80, 40],
+    [10, 0, 10, 20, 30, 40, 50, 60, 70, 50],
+    [20, 10, 0, 10, 20, 30, 40, 50, 60, 40],
+    [30, 20, 10, 0, 10, 20, 30, 40, 50, 50],
+    [40, 30, 20, 10, 0, 10, 20, 30, 40, 40],
+    [50, 40, 30, 20, 10, 0, 10, 20, 30, 50],
+    [60, 50, 40, 30, 20, 10, 0, 10, 20, 40],
+    [70, 60, 50, 40, 30, 20, 10, 0, 10, 50],
+    [80, 70, 60, 50, 40, 30, 20, 10, 0, 40],
+    [40, 50, 40, 50, 40, 50, 40, 50, 40, 0],
 ]
 
 
@@ -144,6 +146,16 @@ def test_paper_witness_pinned(n, dist):
     witness = decide_metric(based_hypergraph(cycle_graph(n))).witness
     assert witness.points == tuple(str(i) for i in range(n + 1))
     assert [list(row) for row in witness.dist] == dist
+
+
+# Shortest-path metrics are metric by construction, so the verdict is
+# known without an oracle; on 11 vertices each leaf LP has 55 variables.
+@pytest.mark.parametrize("seed", range(8))
+def test_shortest_path_metric_on_11_vertices(seed):
+    h = hypergraph_of(random_shortest_path_metric(random.Random(seed), 11))
+    verdict = decide_metric(h)
+    assert verdict.metric
+    assert hypergraph_of(verdict.witness) == h
 
 
 class TestMinimality:

@@ -152,9 +152,13 @@ class TestSolverAgainstEliminationOracle:
 
 
 def _dense_solve_nonneg_feasibility(num_vars, equalities, inequalities):
-    """Reference solver: the same phase-1 Bland simplex on a dense integer
+    """Reference solver: the same phase-1 simplex on a dense integer
     tableau with one global fraction-free denominator, every row rewritten
-    at every pivot and the objective re-summed over the artificial rows."""
+    at every pivot and the objective re-summed over the artificial rows.
+    Same pivot rules: the largest re-summed objective entry enters, ties by
+    smallest index, or the smallest index after ``feasibility.BLAND_AFTER``
+    degenerate pivots in a row; the minimum ratio leaves, ties by smallest
+    basic variable."""
     num_slack = len(inequalities)
     slack_at = num_vars
     artif_start = num_vars + num_slack
@@ -182,13 +186,19 @@ def _dense_solve_nonneg_feasibility(num_vars, equalities, inequalities):
         full[rhs_col] = rhs
         rows.append(full)
     den = 1
+    degenerate_run = 0
     while True:
         art_rows = [i for i, b in enumerate(basis) if b >= artif_start]
         if all(rows[i][rhs_col] == 0 for i in art_rows):
             break
-        entering = next((j for j in range(artif_start) if sum(rows[i][j] for i in art_rows) > 0), -1)
-        if entering < 0:
+        costs = [sum(rows[i][j] for i in art_rows) for j in range(artif_start)]
+        candidates = [j for j in range(artif_start) if costs[j] > 0]
+        if not candidates:
             return None
+        if degenerate_run < feasibility.BLAND_AFTER:
+            entering = max(candidates, key=lambda j: (costs[j], -j))
+        else:
+            entering = candidates[0]
         leave = -1
         for i in range(len(rows)):
             a = rows[i][entering]
@@ -203,6 +213,7 @@ def _dense_solve_nonneg_feasibility(num_vars, equalities, inequalities):
         assert leave >= 0, "phase-1 objective unbounded"
         piv = rows[leave][entering]
         prow = rows[leave]
+        degenerate_run = 0 if prow[rhs_col] else degenerate_run + 1
         for i, row in enumerate(rows):
             if i == leave:
                 continue
@@ -225,39 +236,93 @@ def _rows(nv, max_rows):
     return st.lists(st.tuples(coeffs, st.integers(-3, 3)), max_size=max_rows)
 
 
+def _assert_drawn_system_matches(data):
+    nv = data.draw(st.integers(0, 10))
+    eqs = data.draw(_rows(nv, 10))
+    ineqs = data.draw(_rows(nv, 20))
+    assert solve_nonneg_feasibility(nv, eqs, ineqs) == _dense_solve_nonneg_feasibility(nv, eqs, ineqs)
+
+
+def _assert_seeded_systems_match():
+    # 10 of these 1000 systems reach another vertex when the fallback
+    # fires after one degenerate pivot than without it; Hypothesis's
+    # draws, biased small, seldom do.
+    rng = random.Random(2718)
+    for _ in range(1000):
+        nv = rng.randint(1, 10)
+        eqs = [
+            ([rng.randint(-2, 2) for _ in range(nv)], rng.randint(-3, 3))
+            for _ in range(rng.randint(0, 10))
+        ]
+        ineqs = [
+            ([rng.randint(-2, 2) for _ in range(nv)], rng.randint(-3, 3))
+            for _ in range(rng.randint(0, 20))
+        ]
+        assert solve_nonneg_feasibility(nv, eqs, ineqs) == _dense_solve_nonneg_feasibility(nv, eqs, ineqs)
+
+
+def _assert_paper_leaf_systems_match(monkeypatch):
+    systems = []
+    solve = feasibility.solve_nonneg_feasibility
+
+    def record(nv, eqs, ineqs):
+        systems.append((nv, eqs, ineqs))
+        return solve(nv, eqs, ineqs)
+
+    monkeypatch.setattr(feasibility, "solve_nonneg_feasibility", record)
+    instances = [
+        based_hypergraph(cycle_graph(7)),
+        based_hypergraph(cycle_graph(9)),
+        NONMETRIC_6V_8T,
+    ]
+    clear_decision_cache()
+    try:
+        for h in instances:
+            decide_metric(h)
+    finally:
+        clear_decision_cache()
+    results = [solve(*system) for system in systems]
+    assert [y is None for y in results] == [False, False] + [True] * 7
+    for system, y in zip(systems, results):
+        assert y == _dense_solve_nonneg_feasibility(*system)
+
+
+# The Bland fallback never fires on the paper's leaves (their degenerate
+# runs are far shorter than BLAND_AFTER), so each comparison also runs
+# with it forced: always Bland (0) and Bland after every degenerate
+# pivot (1).
+FORCED_FALLBACK = pytest.mark.parametrize("bland_after", [0, 1], ids=["bland-always", "bland-after-1"])
+
+
 class TestSparseSolverMatchesDense:
-    """The sparse solver makes the dense tableau's Bland pivots, so it
-    returns the same vertex, not just the same verdict."""
+    """The sparse solver makes the dense tableau's pivots, so it returns
+    the same vertex, not just the same verdict."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_random_systems(self, data):
-        nv = data.draw(st.integers(0, 10))
-        eqs = data.draw(_rows(nv, 10))
-        ineqs = data.draw(_rows(nv, 20))
-        assert solve_nonneg_feasibility(nv, eqs, ineqs) == _dense_solve_nonneg_feasibility(nv, eqs, ineqs)
+        _assert_drawn_system_matches(data)
+
+    @FORCED_FALLBACK
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_systems_fallback_forced(self, bland_after, data):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(feasibility, "BLAND_AFTER", bland_after)
+            _assert_drawn_system_matches(data)
+
+    def test_seeded_random_systems(self):
+        _assert_seeded_systems_match()
+
+    @FORCED_FALLBACK
+    def test_seeded_random_systems_fallback_forced(self, monkeypatch, bland_after):
+        monkeypatch.setattr(feasibility, "BLAND_AFTER", bland_after)
+        _assert_seeded_systems_match()
 
     def test_paper_leaf_systems(self, monkeypatch):
-        systems = []
-        solve = feasibility.solve_nonneg_feasibility
+        _assert_paper_leaf_systems_match(monkeypatch)
 
-        def record(nv, eqs, ineqs):
-            systems.append((nv, eqs, ineqs))
-            return solve(nv, eqs, ineqs)
-
-        monkeypatch.setattr(feasibility, "solve_nonneg_feasibility", record)
-        instances = [
-            based_hypergraph(cycle_graph(7)),
-            based_hypergraph(cycle_graph(9)),
-            NONMETRIC_6V_8T,
-        ]
-        clear_decision_cache()
-        try:
-            for h in instances:
-                decide_metric(h)
-        finally:
-            clear_decision_cache()
-        results = [solve(*system) for system in systems]
-        assert [y is None for y in results] == [False, False] + [True] * 7
-        for system, y in zip(systems, results):
-            assert y == _dense_solve_nonneg_feasibility(*system)
+    @FORCED_FALLBACK
+    def test_paper_leaf_systems_fallback_forced(self, monkeypatch, bland_after):
+        monkeypatch.setattr(feasibility, "BLAND_AFTER", bland_after)
+        _assert_paper_leaf_systems_match(monkeypatch)
