@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .metric import MetricSpace, betweenness_lookup, betweenness_triples
+from .metric import MetricSpace, middle
 
 Pair = tuple[int, int]
 
@@ -62,26 +62,30 @@ def apex_classification(m: MetricSpace, order: Sequence[str], apex: str) -> Apex
     """Classify the apex-collinear pairs of ``order`` in ``m``.
 
     ``order`` must satisfy the linear condition (every increasing triple
-    tight, middle in the middle); raises ``ValueError`` otherwise, or if
-    the apex appears in the order.
+    tight, middle in the middle); raises ``ValueError`` otherwise, if the
+    apex appears in the order, or if a label is not a point of ``m``.
     """
     if apex in order:
         raise ValueError("apex must not be part of the ordered core")
     labels = list(order)
-    tight = betweenness_lookup(betweenness_triples(m))
+    if len(set(labels)) != len(labels):
+        raise ValueError("ordered core labels must be distinct")
+    at = [m.index(p) for p in labels]
+    x = m.index(apex)
     for i, j, k in itertools.combinations(range(len(labels)), 3):
-        if not tight(labels[i], labels[j], labels[k]):
+        if middle(m.dist, at[i], at[j], at[k]) != at[j]:
             raise ValueError(
                 f"order is not linear: [{labels[i]} {labels[j]} {labels[k]}] does not hold"
             )
 
     d1, d2, d3 = set(), set(), set()
     for j, l in itertools.combinations(range(len(labels)), 2):
-        if tight(apex, labels[j], labels[l]):
+        mid = middle(m.dist, x, at[j], at[l])
+        if mid == at[j]:
             d1.add((j, l))
-        elif tight(labels[j], apex, labels[l]):
+        elif mid == x:
             d2.add((j, l))
-        elif tight(labels[j], labels[l], apex):
+        elif mid == at[l]:
             d3.add((j, l))
     return ApexClassification(len(labels), frozenset(d1), frozenset(d2), frozenset(d3))
 

@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import serialization as ser
 from .constructions import c4_based_metric, odd_cycle_metric, p5bar_minus_a_metric, path_based_metric
-from .decider import decide_metric, decide_metric_naive
+from .decider import decide_metric
 from .enumeration import canonical_form, enumerate_minimal_nonmetric
 from .hypergraphs import based_hypergraph
 from .metric import betweenness_triples, hypergraph_of, line, line_partition
@@ -95,7 +95,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
     h = ser.hypergraph_from_dict(_read_json(args.hypergraph_file))
     if h.n > MAX_DECIDE_VERTICES:
         raise ValueError(f"{h.n} vertices; decide accepts at most {MAX_DECIDE_VERTICES}")
-    verdict = decide_metric_naive(h) if args.naive else decide_metric(h)
+    verdict = decide_metric(h)
     _emit(ser.dumps(ser.verdict_to_dict(verdict), compact=args.compact), args.output)
     return EXIT_OK if verdict.metric else EXIT_NONMETRIC
 
@@ -200,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="decide whether a hypergraph file is metric (exit 0) or not (exit 10)")
     p.add_argument("hypergraph_file")
-    p.add_argument("--naive", action="store_true", help="full 3^k enumeration, no propagation (reference oracle)")
     p.add_argument("--output", "-o", default=None, help="write verdict JSON here instead of stdout")
     p.add_argument("--compact", action="store_true", help="compact JSON")
     p.set_defaults(fn=cmd_decide)

@@ -90,6 +90,8 @@ class Verdict:
     def __post_init__(self) -> None:
         if self.metric and self.witness is None:
             raise ValueError("metric verdict requires a witness")
+        if not self.metric and self.witness is not None:
+            raise ValueError("non-metric verdict carries no witness")
 
 
 def _witness_space(n: int, solution: dict[Pair, Fraction]) -> MetricSpace:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .hypergraphs import Hypergraph3, PairEquivalence
 
@@ -51,6 +51,8 @@ class MetricSpace:
     dist: tuple[tuple[Fraction, ...], ...]
 
     def index(self, label: str) -> int:
+        if label not in self.points:
+            raise ValueError(f"unknown point {label!r}")
         return self.points.index(label)
 
     def d(self, p: str, q: str) -> Fraction:
@@ -132,35 +134,42 @@ def validate_metric(points: Sequence[str], dist: Sequence[Sequence[int | str | F
     return MetricSpace(labels, rows)
 
 
-def betweenness_triples(m: MetricSpace) -> frozenset[Betweenness]:
-    """All betweenness facts of the space, canonicalized.
+def middle(dist: Sequence[Sequence[Fraction]], i: int, j: int, k: int) -> Optional[int]:
+    """The one of the distinct positions i, j, k that lies between the other two.
 
-    For a fixed unordered triple at most one middle can hold: two
-    simultaneous tight triangles would force a zero distance.
+    v is between u and w when d(u,v) + d(v,w) = d(u,w).  At most one of
+    the three can be the middle: two simultaneous tight triangles on one
+    triple would force a zero distance.  None when no middle exists.
     """
+    dij, dik, djk = dist[i][j], dist[i][k], dist[j][k]
+    if dij + djk == dik:
+        return j
+    if dij + dik == djk:
+        return i
+    if dik + djk == dij:
+        return k
+    return None
+
+
+def betweenness_triples(m: MetricSpace) -> frozenset[Betweenness]:
+    """All betweenness facts of the space, canonicalized."""
     facts: list[Betweenness] = []
-    n = len(m.points)
-    d = m.dist
-    for i, j in itertools.combinations(range(n), 2):
-        for k in range(n):
-            if k == i or k == j:
-                continue
-            # k between i and j
-            if d[i][k] + d[k][j] == d[i][j]:
-                facts.append(Betweenness(m.points[i], m.points[k], m.points[j]))
+    for t in itertools.combinations(range(len(m.points)), 3):
+        v = middle(m.dist, *t)
+        if v is not None:
+            u, w = (x for x in t if x != v)
+            facts.append(Betweenness(m.points[u], m.points[v], m.points[w]))
     return frozenset(facts)
 
 
 def hypergraph_of(m: MetricSpace) -> Hypergraph3:
-    """Collinearity hypergraph: unordered supports of all betweenness facts.
+    """Collinearity hypergraph: the position triples that have a middle.
 
     Vertices are point positions in ``m.points``.
     """
-    pos = {p: i for i, p in enumerate(m.points)}
-    triples = set()
-    for fact in betweenness_triples(m):
-        triples.add(tuple(sorted(pos[p] for p in (fact.u, fact.v, fact.w))))
-    return Hypergraph3(len(m.points), frozenset(triples))
+    n = len(m.points)
+    triples = frozenset(t for t in itertools.combinations(range(n), 3) if middle(m.dist, *t) is not None)
+    return Hypergraph3(n, triples)
 
 
 def line(m: MetricSpace, p: str, q: str) -> frozenset[str]:
@@ -168,16 +177,9 @@ def line(m: MetricSpace, p: str, q: str) -> frozenset[str]:
     if p == q:
         raise ValueError("a line needs two distinct points")
     i, j = m.index(p), m.index(q)
-    d = m.dist
     members = {p, q}
     for k, z in enumerate(m.points):
-        if k in (i, j):
-            continue
-        if (
-            d[i][k] + d[k][j] == d[i][j]
-            or d[i][j] + d[j][k] == d[i][k]
-            or d[k][i] + d[i][j] == d[k][j]
-        ):
+        if k not in (i, j) and middle(m.dist, i, j, k) is not None:
             members.add(z)
     return frozenset(members)
 
@@ -214,30 +216,20 @@ def induced_subspace(m: MetricSpace, subset: Iterable[str]) -> MetricSpace:
     return MetricSpace(pts, rows)
 
 
-def betweenness_lookup(facts: Iterable[Betweenness]) -> Callable[[str, str, str], bool]:
-    """A test ``between(a, b, c)``: is ``[a b c]`` (read either way) in ``facts``?"""
-    present = {(f.u, f.v, f.w) for f in facts}
-
-    def between(a: str, b: str, c: str) -> bool:
-        x, z = (a, c) if a < c else (c, a)
-        return (x, b, z) in present
-
-    return between
-
-
 def recover_linear_order(m: MetricSpace, subset: Iterable[str]) -> Optional[list[str]]:
     """Find an ordering v0..vk of ``subset`` with every [v_a v_b v_c] tight.
 
-    Requires every 3-subset of ``subset`` to be collinear in ``m``
-    (raises ``ValueError`` otherwise).  Picks a diametral pair as the
-    endpoints, sorts by distance from one of them, and verifies all
-    triples.  Guaranteed to succeed for ``|subset| >= 5``; for smaller
-    sets the collinear triples may be cyclic, in which case returns None.
+    Requires every label to be a point of ``m`` and every 3-subset of
+    ``subset`` to be collinear in ``m`` (raises ``ValueError``
+    otherwise).  Picks a diametral pair as the endpoints, sorts by
+    distance from one of them, and verifies all triples.  Guaranteed to
+    succeed for ``|subset| >= 5``; for smaller sets the collinear triples
+    may be cyclic, in which case returns None.
     """
     labels = sorted(set(subset))
-    tight = betweenness_lookup(betweenness_triples(m))
+    at = {p: m.index(p) for p in labels}
     for a, b, c in itertools.combinations(labels, 3):
-        if not (tight(a, b, c) or tight(b, a, c) or tight(a, c, b)):
+        if middle(m.dist, at[a], at[b], at[c]) is None:
             raise ValueError(f"triple {{{a},{b},{c}}} of the subset is not collinear")
 
     if len(labels) <= 2:
@@ -250,8 +242,8 @@ def recover_linear_order(m: MetricSpace, subset: Iterable[str]) -> Optional[list
     start = best[0]
     order = sorted(labels, key=lambda p: (m.d(start, p), p))
     ok = all(
-        tight(order[a], order[b], order[c])
-        for a, b, c in itertools.combinations(range(len(order)), 3)
+        middle(m.dist, at[a], at[b], at[c]) == at[b]
+        for a, b, c in itertools.combinations(order, 3)
     )
     return order if ok else None
 
@@ -262,8 +254,12 @@ def menger_violations(facts: Iterable[Betweenness]) -> list[tuple[str, str, str,
     Pure set logic on a given fact set, so corrupted inputs can be
     checked directly; genuine metric spaces never produce violations.
     """
-    has = betweenness_lookup(facts)
-    points = sorted({p for f in facts for p in (f.u, f.v, f.w)})
+    present = {(f.u, f.v, f.w) for f in facts}
+
+    def has(a: str, b: str, c: str) -> bool:
+        return (min(a, c), b, max(a, c)) in present
+
+    points = sorted({p for fact in present for p in fact})
     bad: list[tuple[str, str, str, str]] = []
     for a, b, c, d in itertools.permutations(points, 4):
         if has(a, b, d) and has(b, c, d):

@@ -9,11 +9,13 @@ reports one line each, deterministic apart from timing.
 from __future__ import annotations
 
 import functools
+import random
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional
 
-from .apex import apex_classification
+from .apex import apex_classification, check_wh_implications
 from .constructions import c4_based_metric, odd_cycle_metric, p5bar_minus_a_metric
 from .decider import decide_metric, decide_metric_naive, is_minimal_nonmetric
 from .enumeration import EnumerationResult, canonical_form, enumerate_minimal_nonmetric
@@ -28,18 +30,16 @@ from .hypergraphs import (
 from .metric import (
     Betweenness,
     betweenness_triples,
+    check_menger,
     check_meq,
     hypergraph_of,
     recover_linear_order,
+    validate_metric,
 )
 from .obstacles import certify_obstacle, cycle_obstacle_restrictions
-from .suites import (
-    SUITE_CASES,
-    run_apex_implication_suite,
-    run_menger_suite,
-    run_order_recovery_suite,
-    run_witness_reverify_suite,
-)
+from .suites import random_hypergraph, random_linear_apex_metric, random_shortest_path_metric
+
+SUITE_CASES = 1000  # cases per property suite; verify-paper runs and reports this many
 
 
 @dataclass(frozen=True)
@@ -225,26 +225,55 @@ def claim_oracle_agreement_n5() -> str:
 
 
 def claim_menger_suite() -> str:
-    failures = run_menger_suite()
-    _require(not failures, failures[0] if failures else "")
+    rng = random.Random(74001)
+    for i in range(SUITE_CASES):
+        m = random_shortest_path_metric(rng, rng.randint(3, 7))
+        bad = check_menger(m)
+        _require(not bad, f"case {i}: violations {bad[:3]} on {m.points}")
     return f"no four-point rule violations in {SUITE_CASES} random metric spaces"
 
 
 def claim_apex_suite() -> str:
-    failures = run_apex_implication_suite()
-    _require(not failures, failures[0] if failures else "")
+    rng = random.Random(74002)
+    for i in range(SUITE_CASES):
+        n = rng.randint(3, 7)
+        m = random_linear_apex_metric(rng, n)
+        bad = check_wh_implications(apex_classification(m, [str(k) for k in range(n)], "x"))
+        _require(not bad, f"case {i}: {bad[0] if bad else ''}")
     return f"apex-class closure rules hold in {SUITE_CASES} random cases"
 
 
 def claim_recovery_suite() -> str:
-    failures = run_order_recovery_suite()
-    _require(not failures, failures[0] if failures else "")
+    rng = random.Random(74003)
+    for i in range(SUITE_CASES):
+        n = rng.randint(5, 9)
+        positions = [Fraction(0)]
+        for _ in range(n - 1):
+            positions.append(positions[-1] + Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+        pos_of = {f"v{k}": positions[k] for k in range(n)}
+        pts = sorted(pos_of)
+        rng.shuffle(pts)
+        rows = [[abs(pos_of[p] - pos_of[q]) for q in pts] for p in pts]
+        order = recover_linear_order(validate_metric(pts, rows), pts)
+        _require(order is not None, f"case {i}: no order recovered")
+        values = [pos_of[lab] for lab in order]
+        _require(
+            values == sorted(values) or values == sorted(values, reverse=True),
+            f"case {i}: recovered order not monotone",
+        )
     return f"order recovery succeeded in {SUITE_CASES} random collinear cases"
 
 
 def claim_witness_suite() -> str:
-    failures = run_witness_reverify_suite()
-    _require(not failures, failures[0] if failures else "")
+    rng = random.Random(74004)
+    for i in range(SUITE_CASES):
+        n = rng.randint(3, 5)
+        h = random_hypergraph(rng, n, rng.choice((0.2, 0.4, 0.6, 0.8)))
+        verdict = decide_metric(h)
+        _require(
+            not verdict.metric or hypergraph_of(verdict.witness) == h,
+            f"case {i}: witness mismatch for {sorted(h.triples)}",
+        )
     return f"all metric witnesses re-verified in {SUITE_CASES} random decisions"
 
 

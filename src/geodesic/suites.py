@@ -1,10 +1,8 @@
-"""Seeded randomized property suites.
+"""Seeded random instance generators.
 
-Each suite generates its own instances from a fixed seed, runs a
-documented property over them, and returns the list of failures (empty
-means the property held everywhere).  The replay harness and the test
-suite both call these, so the checks run identically from the CLI and
-from pytest.
+Each draws one instance from the caller's ``random.Random``, so a fixed
+seed gives a fixed sequence.  The property-suite claims of
+``replay.CLAIMS`` and the property tests draw their instances here.
 """
 
 from __future__ import annotations
@@ -14,18 +12,8 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from .apex import apex_classification, check_wh_implications
-from .decider import decide_metric
 from .hypergraphs import Hypergraph3
-from .metric import (
-    MetricSpace,
-    check_menger,
-    hypergraph_of,
-    recover_linear_order,
-    validate_metric,
-)
-
-SUITE_CASES = 1000  # cases per suite; verify-paper runs and reports this many
+from .metric import MetricSpace, validate_metric
 
 
 def random_shortest_path_metric(rng: random.Random, n: int) -> MetricSpace:
@@ -108,68 +96,3 @@ def random_linear_apex_metric(rng: random.Random, n: int) -> MetricSpace:
 def random_hypergraph(rng: random.Random, n: int, density: float) -> Hypergraph3:
     triples = [t for t in itertools.combinations(range(n), 3) if rng.random() < density]
     return Hypergraph3.from_triples(n, triples)
-
-
-def run_menger_suite() -> list[str]:
-    """The four-point rule never fails on validated random metric spaces."""
-    rng = random.Random(74001)
-    failures = []
-    for i in range(SUITE_CASES):
-        m = random_shortest_path_metric(rng, rng.randint(3, 7))
-        bad = check_menger(m)
-        if bad:
-            failures.append(f"case {i}: violations {bad[:3]} on {m.points}")
-    return failures
-
-
-def run_apex_implication_suite() -> list[str]:
-    """Apex-class closure rules (sharpened forms included) hold on random
-    linearly ordered cores with an apex."""
-    rng = random.Random(74002)
-    failures = []
-    for i in range(SUITE_CASES):
-        n = rng.randint(3, 7)
-        m = random_linear_apex_metric(rng, n)
-        order = [str(k) for k in range(n)]
-        cls = apex_classification(m, order, "x")
-        bad = check_wh_implications(cls)
-        if bad:
-            failures.append(f"case {i}: {bad[0]}")
-    return failures
-
-
-def run_order_recovery_suite() -> list[str]:
-    """Order recovery succeeds on every random collinear set of >= 5 points."""
-    rng = random.Random(74003)
-    failures = []
-    for i in range(SUITE_CASES):
-        n = rng.randint(5, 9)
-        positions = [Fraction(0)]
-        for _ in range(n - 1):
-            positions.append(positions[-1] + Fraction(rng.randint(1, 9), rng.randint(1, 4)))
-        pos_of = {f"v{k}": positions[k] for k in range(n)}
-        pts = sorted(pos_of)
-        rng.shuffle(pts)
-        rows = [[abs(pos_of[p] - pos_of[q]) for q in pts] for p in pts]
-        m = validate_metric(pts, rows)
-        order = recover_linear_order(m, pts)
-        if order is None:
-            failures.append(f"case {i}: no order recovered")
-            continue
-        values = [pos_of[lab] for lab in order]
-        if values != sorted(values) and values != sorted(values, reverse=True):
-            failures.append(f"case {i}: recovered order not monotone")
-    return failures
-
-
-def run_witness_reverify_suite() -> list[str]:
-    """Every metric verdict's witness induces exactly the input hypergraph."""
-    rng = random.Random(74004)
-    failures = []
-    for i in range(SUITE_CASES):
-        n = rng.randint(3, 5)
-        h = random_hypergraph(rng, n, rng.choice((0.2, 0.4, 0.6, 0.8)))
-        verdict = decide_metric(h)
-        if verdict.metric and hypergraph_of(verdict.witness) != h:
-            failures.append(f"case {i}: witness mismatch for {sorted(h.triples)}")
-    return failures

@@ -30,6 +30,15 @@ class TestApexClassification:
         with pytest.raises(ValueError, match="apex"):
             apex_classification(odd_cycle_metric(2), ["0", "1", "x"], "x")
 
+    @pytest.mark.parametrize("order, apex", [(["0", "1", "2", "3", "4"], "zz"), (["0", "zz"], "x")])
+    def test_unknown_label_rejected(self, order, apex):
+        with pytest.raises(ValueError, match="unknown point 'zz'"):
+            apex_classification(odd_cycle_metric(2), order, apex)
+
+    def test_repeated_core_label_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            apex_classification(odd_cycle_metric(2), ["0", "0"], "x")
+
     def test_empty_when_apex_far(self):
         # apex at incommensurable-ish distances: no tight apex triangle
         rows = [

@@ -48,11 +48,6 @@ class TestDecideCommand:
         bad.write_text("{\"n\": 3}")
         assert main(["decide", str(bad)]) == 2
 
-    def test_naive_flag(self, tmp_path, capsys):
-        p = tmp_path / "h.json"
-        p.write_text(dumps({"n": 3, "triples": [[0, 1, 2]]}))
-        assert main(["decide", str(p), "--naive"]) == 0
-
     def test_output_file(self, c5_file, tmp_path):
         out = tmp_path / "verdict.json"
         assert main(["decide", c5_file, "-o", str(out)]) == 0
@@ -63,11 +58,9 @@ class TestDecideCommand:
             raise AssertionError("decision started on an over-size hypergraph")
 
         monkeypatch.setattr(cli, "decide_metric", no_work)
-        monkeypatch.setattr(cli, "decide_metric_naive", no_work)
         p = tmp_path / "huge.json"
         p.write_text(dumps({"n": 1000000000, "triples": []}))
         assert main(["decide", str(p)]) == 2
-        assert main(["decide", str(p), "--naive"]) == 2
         assert "at most" in capsys.readouterr().err
 
     def test_vertex_cap_boundary(self, tmp_path, capsys):
@@ -109,9 +102,13 @@ def test_input_error_exits_two_with_one_line(argv, content, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
-def test_threads_flag_is_gone(c5_file, capsys):
-    assert main(["decide", c5_file, "-j", "2"]) == 2
-    assert "unrecognized arguments: -j 2" in capsys.readouterr().err
+@pytest.mark.parametrize("flag", [["-j", "2"], ["--naive"]], ids=["threads", "naive"])
+def test_threads_flag_is_gone(c5_file, capsys, flag):
+    assert main(["decide", c5_file, *flag]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if "unrecognized arguments" in line] == [
+        f"geodesic: error: unrecognized arguments: {' '.join(flag)}"
+    ]
 
 
 class TestConstructCommand:

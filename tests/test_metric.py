@@ -249,6 +249,11 @@ class TestRecoverLinearOrder:
         with pytest.raises(ValueError, match="not collinear"):
             recover_linear_order(equilateral3(), ["p", "q", "r"])
 
+    @pytest.mark.parametrize("subset", [["zz"], ["0", "1", "zz"]])
+    def test_unknown_label_rejected(self, subset):
+        with pytest.raises(ValueError, match="unknown point 'zz'"):
+            recover_linear_order(collinear_metric(3), subset)
+
 
 class TestMenger:
     def test_constructions_clean(self):

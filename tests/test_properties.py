@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from geodesic.hypergraphs import Hypergraph3, induced_subhypergraph
 from geodesic.metric import (
+    Betweenness,
     betweenness_triples,
     check_menger,
     hypergraph_of,
     induced_subspace,
     line,
     line_partition,
+    middle,
     recover_linear_order,
     validate_metric,
 )
@@ -48,6 +50,23 @@ def hypergraphs(draw):
     pool = list(itertools.combinations(range(n), 3))
     triples = draw(st.sets(st.sampled_from(pool)))
     return Hypergraph3.from_triples(n, triples)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(shortest_path_metrics(), linear_apex_metrics()))
+def test_betweenness_matches_definition(m):
+    # v is between u and w when d(u,v) + d(v,w) = d(u,w), over all ordered triples
+    d, p = m.dist, m.points
+    between = {
+        (u, v, w) for u, v, w in itertools.permutations(range(len(p)), 3) if d[u][v] + d[v][w] == d[u][w]
+    }
+    assert betweenness_triples(m) == {Betweenness(p[u], p[v], p[w]) for u, v, w in between}
+    assert hypergraph_of(m).triples == {tuple(sorted(t)) for t in between}
+    for t in itertools.combinations(range(len(p)), 3):
+        assert {middle(d, *t)} - {None} == {v for u, v, w in between if {u, v, w} == set(t)}
+    for i, j in itertools.combinations(range(len(p)), 2):
+        collinear = {p[k] for t in between if {i, j} <= set(t) for k in t}
+        assert line(m, p[i], p[j]) == collinear | {p[i], p[j]}
 
 
 @settings(max_examples=150, deadline=None)

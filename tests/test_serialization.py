@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from geodesic.constructions import c4_based_metric, odd_cycle_metric
-from geodesic.decider import decide_metric
+from geodesic.decider import SearchStats, Verdict, decide_metric
 from geodesic.hypergraphs import based_hypergraph, cycle_graph
 from geodesic.serialization import (
     dumps,
@@ -101,6 +101,14 @@ class TestVerdictRoundTrip:
         data["stats"]["pruned"] = 14
         old = verdict_from_dict(loads(dumps(data)))
         assert old.stats.pruned == 14 and verdict_to_dict(old) == data
+
+    def test_rejects_nonmetric_verdict_with_witness(self):
+        data = verdict_to_dict(decide_metric(based_hypergraph(cycle_graph(6))))
+        data["witness"] = metric_to_dict(c4_based_metric())
+        with pytest.raises(ValueError, match="non-metric verdict carries no witness"):
+            verdict_from_dict(loads(dumps(data)))
+        with pytest.raises(ValueError, match="non-metric verdict carries no witness"):
+            Verdict(False, c4_based_metric(), SearchStats())
 
     def test_rejects_malformed_stats(self):
         for stats in (
