@@ -2,7 +2,10 @@
 
 All three are immutable value types normalized on construction: edges are
 sorted pairs, hyperedges sorted triples, so structural equality and
-hashing just work.
+hashing just work.  A ``Graph`` or ``Hypergraph3`` given a frozenset that
+is already normalized (int tuples, strictly increasing, inside 0..n-1)
+keeps it as given after one check; any other input is validated and
+re-sorted member by member.
 """
 
 from __future__ import annotations
@@ -25,8 +28,34 @@ def sorted_triple(u: int, v: int, w: int) -> Triple:
 
 
 def _check_vertex(v: int, n: int) -> None:
-    if not isinstance(v, int) or not 0 <= v < n:
+    if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
         raise ValueError(f"vertex {v!r} out of range 0..{n - 1}")
+
+
+def _normalized_pairs(edges: object, n: int) -> bool:
+    """Whether ``edges`` is a frozenset of int pairs (u, v), 0 <= u < v < n."""
+    if type(edges) is not frozenset or type(n) is not int:
+        return False
+    for e in edges:
+        if type(e) is not tuple or len(e) != 2:
+            return False
+        u, v = e
+        if type(u) is not int or type(v) is not int or not 0 <= u < v < n:
+            return False
+    return True
+
+
+def _normalized_triples(triples: object, n: int) -> bool:
+    """Whether ``triples`` is a frozenset of int triples (a, b, c), 0 <= a < b < c < n."""
+    if type(triples) is not frozenset or type(n) is not int:
+        return False
+    for t in triples:
+        if type(t) is not tuple or len(t) != 3:
+            return False
+        a, b, c = t
+        if type(a) is not int or type(b) is not int or type(c) is not int or not 0 <= a < b < c < n:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -37,6 +66,8 @@ class Graph:
     edges: frozenset[Pair]
 
     def __post_init__(self) -> None:
+        if _normalized_pairs(self.edges, self.n):
+            return
         norm = set()
         for e in self.edges:
             u, v = e
@@ -94,6 +125,8 @@ class Hypergraph3:
     triples: frozenset[Triple]
 
     def __post_init__(self) -> None:
+        if _normalized_triples(self.triples, self.n):
+            return
         norm = set()
         for t in self.triples:
             u, v, w = t

@@ -64,6 +64,11 @@ def metric_from_dict(data: dict) -> MetricSpace:
     return validate_metric(points, rows)
 
 
+def _is_int(value: Any) -> bool:
+    """JSON integers only: ``true`` and ``false`` load as bools, which are ints to Python."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def graph_to_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
 
@@ -72,11 +77,11 @@ def graph_from_dict(data: dict) -> Graph:
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise ValueError("graph JSON needs 'n' and 'edges'")
     n = data["n"]
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise ValueError("'n' must be a nonnegative integer")
     edges = data["edges"]
     if not isinstance(edges, list) or any(
-        not isinstance(e, list) or len(e) != 2 or not all(isinstance(v, int) for v in e)
+        not isinstance(e, list) or len(e) != 2 or not all(_is_int(v) for v in e)
         for e in edges
     ):
         raise ValueError("'edges' must be a list of [u, v] integer pairs")
@@ -91,11 +96,11 @@ def hypergraph_from_dict(data: dict) -> Hypergraph3:
     if not isinstance(data, dict) or "n" not in data or "triples" not in data:
         raise ValueError("hypergraph JSON needs 'n' and 'triples'")
     n = data["n"]
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise ValueError("'n' must be a nonnegative integer")
     triples = data["triples"]
     if not isinstance(triples, list) or any(
-        not isinstance(t, list) or len(t) != 3 or not all(isinstance(v, int) for v in t)
+        not isinstance(t, list) or len(t) != 3 or not all(_is_int(v) for v in t)
         for t in triples
     ):
         raise ValueError("'triples' must be a list of [a, b, c] integer triples")
@@ -124,7 +129,7 @@ def _object(data: dict, key: str) -> dict:
 
 def _count(data: dict, key: str) -> int:
     value = data.get(key, 0)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+    if not _is_int(value) or value < 0:
         raise ValueError(f"count {key!r} must be a non-negative integer, got {value!r}")
     return value
 

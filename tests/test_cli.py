@@ -81,10 +81,14 @@ INPUT_ERRORS = {
     "decide-malformed-json": (["decide", "FILE"], "{not json"),
     "decide-invalid-hypergraph": (["decide", "FILE"], dumps({"n": 3, "triples": [[0, 1, 5]]})),
     "decide-over-cap": (["decide", "FILE"], dumps({"n": MAX_DECIDE_VERTICES + 1, "triples": []})),
+    "decide-boolean-vertex": (["decide", "FILE"], dumps({"n": 4, "triples": [[True, 2, 3]]})),
+    "decide-boolean-size": (["decide", "FILE"], dumps({"n": True, "triples": []})),
     "obstacle-missing-file": (["obstacle", "FILE"], None),
     "obstacle-malformed-json": (["obstacle", "FILE"], "{not json"),
     "obstacle-invalid-graph": (["obstacle", "FILE"], dumps({"n": 3, "edges": [[0, 0]]})),
     "obstacle-over-cap": (["obstacle", "FILE"], dumps({"n": MAX_DECIDE_VERTICES, "edges": []})),
+    "obstacle-boolean-vertex": (["obstacle", "FILE"], dumps({"n": 4, "edges": [[True, 2]]})),
+    "obstacle-boolean-size": (["obstacle", "FILE"], dumps({"n": True, "edges": []})),
     "construct-over-cap": (["construct", "path", "--k", str(MAX_CHART_POINTS)], None),
     "enumerate-out-of-range": (["enumerate", "9", "--out", "FILE"], None),
     "enumerate-out-is-a-file": (["enumerate", "3", "--out", "FILE"], ""),

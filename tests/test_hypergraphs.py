@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -82,6 +83,21 @@ class TestHypergraph3:
         # core triples of remaining {1,2,3} plus apex triples for edges 1-2, 2-3
         assert sub.triples == frozenset({(0, 1, 2), (0, 1, 3), (1, 2, 3)})
 
+    def test_delete_vertex_shifts_labels_exhaustively(self):
+        # every labelled hypergraph on 5 vertices: the triples without v,
+        # each label above v moved down by one
+        pool = list(itertools.combinations(range(5), 3))
+        for mask in range(1 << len(pool)):
+            h = Hypergraph3(5, frozenset(t for i, t in enumerate(pool) if mask >> i & 1))
+            for v in range(5):
+                shifted = {tuple(x - (x > v) for x in t) for t in h.triples if v not in t}
+                assert h.delete_vertex(v) == Hypergraph3(4, frozenset(shifted))
+
+    @pytest.mark.parametrize("v", [5, -1, True])
+    def test_delete_vertex_rejects_non_vertex(self, v):
+        with pytest.raises(ValueError, match="out of range"):
+            based_hypergraph(cycle_graph(4)).delete_vertex(v)
+
     def test_induced_subhypergraph(self):
         h = based_hypergraph(cycle_graph(5))
         sub = induced_subhypergraph(h, [0, 1, 2, 5])
@@ -129,3 +145,79 @@ class TestGraphEquivalence:
     def test_c6_block_sizes(self):
         eq = graph_equivalence(cycle_graph(6))
         assert sorted(len(b) for b in eq.blocks) == [6, 9]
+
+
+def reference_normalization(n, members, size):
+    """The member-by-member check and sort of any input: a frozenset of
+    sorted int tuples, or the ValueError that construction raises."""
+    norm = set()
+    for m in members:
+        if size == 2:
+            u, v = m
+            vertices = (u, v)
+        else:
+            u, v, w = m
+            vertices = (u, v, w)
+        for x in vertices:
+            if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < n:
+                raise ValueError(f"vertex {x!r} out of range 0..{n - 1}")
+        if len(set(vertices)) != size:
+            raise ValueError(f"loop at vertex {u}" if size == 2 else f"degenerate triple {m!r}")
+        norm.add(tuple(sorted(vertices)))
+    return frozenset(norm)
+
+
+def random_members(rng, n, size):
+    """Seeded member lists mixing normalized members with unsorted,
+    degenerate, out-of-range and non-int ones."""
+    strange = [-1, n, n + 1, 1.0, "1", True, False]
+    members = []
+    for _ in range(rng.randrange(5)):
+        m = rng.sample(range(n), size) if n >= size else [rng.randrange(max(n, 1))] * size
+        if rng.random() < 0.5:
+            m.sort()
+        if rng.random() < 0.15:
+            m[rng.randrange(size)] = rng.choice(strange)
+        if rng.random() < 0.05:
+            m[-1] = m[0]
+        if rng.random() < 0.03:
+            m = m[:-1] if rng.random() < 0.5 else m + [0]
+        members.append(m)
+    return members
+
+
+def containers(members):
+    """The same members as a frozenset, set or list of tuples, or a list of lists."""
+    tuples = [tuple(m) for m in members]
+    return [frozenset(tuples), set(tuples), tuples, [list(m) for m in members]]
+
+
+@pytest.mark.parametrize("cls, size", [(Graph, 2), (Hypergraph3, 3)], ids=["graph", "hypergraph"])
+def test_construction_matches_member_by_member_normalization(cls, size):
+    rng = random.Random(2024)
+    kept = 0
+    for _ in range(3000):
+        n = rng.randrange(7)
+        for given in containers(random_members(rng, n, size)):
+            try:
+                expected = reference_normalization(n, given, size)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as raised:
+                    cls(n, given)
+                assert str(raised.value) == str(exc)
+                continue
+            value = cls(n, given)
+            members = value.edges if size == 2 else value.triples
+            assert type(members) is frozenset and members == expected
+            assert all(type(x) is int for m in members for x in m)
+            # kept as given exactly when the input was already normalized
+            assert (members is given) == (type(given) is frozenset and given == expected)
+            kept += members is given
+    assert kept > 500
+
+
+def test_normalized_input_is_kept_as_given():
+    es = frozenset({(0, 1), (1, 3)})
+    assert Graph(4, es).edges is es
+    fs = frozenset({(0, 1, 2), (1, 2, 3)})
+    assert Hypergraph3(4, fs).triples is fs

@@ -78,6 +78,17 @@ class TestGraphHypergraphRoundTrip:
         with pytest.raises(ValueError):
             hypergraph_from_dict({"n": 3, "triples": [[0, 1]]})
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_booleans_are_not_vertices_or_sizes(self, value):
+        with pytest.raises(ValueError, match="integer triples"):
+            hypergraph_from_dict({"n": 4, "triples": [[value, 2, 3]]})
+        with pytest.raises(ValueError, match="integer pairs"):
+            graph_from_dict({"n": 4, "edges": [[value, 2]]})
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            hypergraph_from_dict({"n": value, "triples": []})
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            graph_from_dict({"n": value, "edges": []})
+
 
 class TestVerdictRoundTrip:
     def test_metric_verdict(self):
