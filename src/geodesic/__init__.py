@@ -64,7 +64,6 @@ from .obstacles import (
     ObstacleRouteInapplicable,
     certify_obstacle,
     cycle_obstacle_restrictions,
-    verify_cycle_obstacle_minimality,
 )
 from .orientation import ClosureConflict, OrientationAssignment, orientation_closure
 from .replay import ReplayReport, run_manifest
@@ -127,5 +126,4 @@ __all__ = [
     "run_manifest",
     "solve_exact_feasibility",
     "validate_metric",
-    "verify_cycle_obstacle_minimality",
 ]

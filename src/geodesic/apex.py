@@ -43,10 +43,6 @@ class ApexClassification:
         if self.d1 & self.d2 or self.d1 & self.d3 or self.d2 & self.d3:
             raise ValueError("classes must be disjoint (a triple has at most one middle)")
 
-    @property
-    def collinear_pairs(self) -> frozenset[Pair]:
-        return self.d1 | self.d2 | self.d3
-
 
 @dataclass(frozen=True)
 class ImplicationViolation:

@@ -76,7 +76,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"  {f}")
     h = hypergraph_of(m)
     print(f"collinear triples ({len(h.triples)}):")
-    for t in h.sorted_triples():
+    for t in sorted(h.triples):
         print("  {" + ", ".join(m.points[v] for v in t) + "}")
     print("lines:")
     pairs = [(p, q) for i, p in enumerate(m.points) for q in m.points[i + 1 :]]

@@ -11,14 +11,13 @@ every realization orders that core linearly, so the search branches over
 linear orders of the core (reverses and automorphic relabelings skipped)
 instead of orienting core triples one at a time.  Orders grow by
 prefix, a prefix under which some outside vertex's link is no step-word
-pattern is dropped (it has no realization), and each order is seeded on
-top of the prefix it shares with the order seeded before it.  Every branch is taken by one step, ``_Search.branch``.
+pattern is dropped (it has no realization), and each order that survives
+is seeded whole.  Every branch is taken by one step, ``_Search.branch``.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -307,14 +306,13 @@ def _core_orders(h: Hypergraph3, core: tuple[int, ...]) -> Iterator[tuple[int, .
     return grow((), autos, (0,) * len(near))
 
 
-def _linear_core_facts(core_order: tuple[int, ...], start: int = 0) -> list[tuple[Triple, int]]:
-    """Middle-of-every-inner-triple facts of a linearly ordered core,
-    by last position from ``start`` on: the first k positions' are the
-    first C(k, 3).  The set is closed under the four-point rule: premises
+def _linear_core_facts(core_order: tuple[int, ...]) -> list[tuple[Triple, int]]:
+    """Middle-of-every-inner-triple facts of a linearly ordered core, by
+    last position.  The set is closed under the four-point rule: premises
     between order-median facts only ever conclude order-median facts.
     """
     facts = []
-    for k in range(start, len(core_order)):
+    for k in range(len(core_order)):
         c = core_order[k]
         for i, j in itertools.combinations(range(k), 2):
             facts.append((sorted_triple(core_order[i], core_order[j], c), core_order[j]))
@@ -370,7 +368,7 @@ class _Search:
         """Roll the trail back to ``keep`` facts, push one branch (one node)
         and search below it; return the witness found, else None.  A branch
         is a decision ``fact``, asserted with closure, a core order's closed
-        ``seed`` past its kept prefix, or nothing for an edgeless input."""
+        ``seed``, or nothing for an edgeless input."""
         state = self.state
         state.rollback(keep)
         if seed:
@@ -409,8 +407,7 @@ def _explore(
     middles of the first hyperedge, or an edgeless input's lone leaf.
     Every branch is counted, conflicted ones too, so a hit index names
     the same branch for every stride; only branches with
-    ``index % stride == offset`` are searched, each core order on top of
-    the prefix it shares with the last one seeded.  Returns the index and
+    ``index % stride == offset`` are searched.  Returns the index and
     witness of the first hit (``None, None`` when there is none) and the
     work tallies.
     """
@@ -421,16 +418,13 @@ def _explore(
     else:
         root = min(h.triples, default=())
         branches = [(root, middle) for middle in root] or [None]
-    seeded: tuple[int, ...] = ()
     for index, branch in enumerate(branches):
         if index % stride != offset:
             continue
         if core is None:
             witness = search.branch(0, fact=branch)
         else:
-            shared = next((i for i, (u, v) in enumerate(zip(seeded, branch)) if u != v), len(seeded))
-            witness = search.branch(math.comb(shared, 3), seed=_linear_core_facts(branch, shared))
-            seeded = branch
+            witness = search.branch(0, seed=_linear_core_facts(branch))
         if witness is not None:
             return index, witness, search.stats()
     return None, None, search.stats()

@@ -2,10 +2,10 @@
 
 All three are immutable value types normalized on construction: edges are
 sorted pairs, hyperedges sorted triples, so structural equality and
-hashing just work.  A ``Graph`` or ``Hypergraph3`` given a frozenset that
-is already normalized (int tuples, strictly increasing, inside 0..n-1)
-keeps it as given after one check; any other input is validated and
-re-sorted member by member.
+hashing just work.  The size ``n`` must be a nonnegative integer.  A
+``Hypergraph3`` given a frozenset that is already normalized (int
+tuples, strictly increasing, inside 0..n-1) keeps it as given after one
+check; any other input is validated and re-sorted member by member.
 """
 
 from __future__ import annotations
@@ -32,22 +32,14 @@ def _check_vertex(v: int, n: int) -> None:
         raise ValueError(f"vertex {v!r} out of range 0..{n - 1}")
 
 
-def _normalized_pairs(edges: object, n: int) -> bool:
-    """Whether ``edges`` is a frozenset of int pairs (u, v), 0 <= u < v < n."""
-    if type(edges) is not frozenset or type(n) is not int:
-        return False
-    for e in edges:
-        if type(e) is not tuple or len(e) != 2:
-            return False
-        u, v = e
-        if type(u) is not int or type(v) is not int or not 0 <= u < v < n:
-            return False
-    return True
+def _check_size(n: int) -> None:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise ValueError(f"size n must be a nonnegative integer, got {n!r}")
 
 
 def _normalized_triples(triples: object, n: int) -> bool:
     """Whether ``triples`` is a frozenset of int triples (a, b, c), 0 <= a < b < c < n."""
-    if type(triples) is not frozenset or type(n) is not int:
+    if type(triples) is not frozenset:
         return False
     for t in triples:
         if type(t) is not tuple or len(t) != 3:
@@ -66,8 +58,7 @@ class Graph:
     edges: frozenset[Pair]
 
     def __post_init__(self) -> None:
-        if _normalized_pairs(self.edges, self.n):
-            return
+        _check_size(self.n)
         norm = set()
         for e in self.edges:
             u, v = e
@@ -125,6 +116,7 @@ class Hypergraph3:
     triples: frozenset[Triple]
 
     def __post_init__(self) -> None:
+        _check_size(self.n)
         if _normalized_triples(self.triples, self.n):
             return
         norm = set()
@@ -140,9 +132,6 @@ class Hypergraph3:
     @classmethod
     def from_triples(cls, n: int, triples: Iterable[Iterable[int]]) -> "Hypergraph3":
         return cls(n, frozenset(sorted_triple(*t) for t in triples))
-
-    def sorted_triples(self) -> list[Triple]:
-        return sorted(self.triples)
 
     def delete_vertex(self, v: int) -> "Hypergraph3":
         """Induced subhypergraph with vertex v removed, relabeled 0..n-2."""
@@ -192,6 +181,7 @@ class PairEquivalence:
     blocks: frozenset[frozenset[Pair]]
 
     def __post_init__(self) -> None:
+        _check_size(self.n)
         norm = set()
         seen: set[Pair] = set()
         for block in self.blocks:

@@ -15,8 +15,6 @@ from typing import Iterable, Optional, Sequence
 
 from .hypergraphs import Hypergraph3, PairEquivalence
 
-Rational = Fraction
-
 
 @dataclass(frozen=True)
 class AxiomViolation:

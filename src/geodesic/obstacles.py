@@ -134,9 +134,3 @@ def cycle_obstacle_restrictions(n: int) -> list[CycleRestrictionCheck]:
         collinear,
     )
     return [replace(check, deleted_vertex=d) for d in range(n)]
-
-
-def verify_cycle_obstacle_minimality(n: int) -> bool:
-    """Every one-vertex-deleted restriction of the n-cycle equivalence is
-    realizable (n even, > 4), so the cycle obstacle is minimal."""
-    return all(check.ok for check in cycle_obstacle_restrictions(n))

@@ -28,10 +28,6 @@ from .metric import MetricSpace, validate_metric
 _RATIONAL = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 
-def format_rational(q: Fraction) -> str:
-    return str(q)
-
-
 def parse_rational(value: Any) -> Fraction:
     if isinstance(value, bool):
         raise ValueError(f"not a rational: {value!r}")
@@ -47,7 +43,7 @@ def parse_rational(value: Any) -> Fraction:
 def metric_to_dict(m: MetricSpace) -> dict:
     return {
         "points": list(m.points),
-        "dist": [[format_rational(d) for d in row] for row in m.dist],
+        "dist": [[str(d) for d in row] for row in m.dist],
     }
 
 
@@ -76,35 +72,29 @@ def graph_to_dict(g: Graph) -> dict:
 def graph_from_dict(data: dict) -> Graph:
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise ValueError("graph JSON needs 'n' and 'edges'")
-    n = data["n"]
-    if not _is_int(n) or n < 0:
-        raise ValueError("'n' must be a nonnegative integer")
     edges = data["edges"]
     if not isinstance(edges, list) or any(
         not isinstance(e, list) or len(e) != 2 or not all(_is_int(v) for v in e)
         for e in edges
     ):
         raise ValueError("'edges' must be a list of [u, v] integer pairs")
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(data["n"], edges)
 
 
 def hypergraph_to_dict(h: Hypergraph3) -> dict:
-    return {"n": h.n, "triples": [list(t) for t in h.sorted_triples()]}
+    return {"n": h.n, "triples": [list(t) for t in sorted(h.triples)]}
 
 
 def hypergraph_from_dict(data: dict) -> Hypergraph3:
     if not isinstance(data, dict) or "n" not in data or "triples" not in data:
         raise ValueError("hypergraph JSON needs 'n' and 'triples'")
-    n = data["n"]
-    if not _is_int(n) or n < 0:
-        raise ValueError("'n' must be a nonnegative integer")
     triples = data["triples"]
     if not isinstance(triples, list) or any(
         not isinstance(t, list) or len(t) != 3 or not all(_is_int(v) for v in t)
         for t in triples
     ):
         raise ValueError("'triples' must be a list of [a, b, c] integer triples")
-    return Hypergraph3.from_triples(n, triples)
+    return Hypergraph3.from_triples(data["n"], triples)
 
 
 def verdict_to_dict(v: Verdict) -> dict:

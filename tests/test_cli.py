@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 import shlex
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import geodesic
 import geodesic.cli as cli
 import geodesic.serialization as ser
 from geodesic.cli import MAX_CHART_POINTS, MAX_DECIDE_VERTICES, main
@@ -83,12 +85,14 @@ INPUT_ERRORS = {
     "decide-over-cap": (["decide", "FILE"], dumps({"n": MAX_DECIDE_VERTICES + 1, "triples": []})),
     "decide-boolean-vertex": (["decide", "FILE"], dumps({"n": 4, "triples": [[True, 2, 3]]})),
     "decide-boolean-size": (["decide", "FILE"], dumps({"n": True, "triples": []})),
+    "decide-negative-size": (["decide", "FILE"], dumps({"n": -1, "triples": []})),
     "obstacle-missing-file": (["obstacle", "FILE"], None),
     "obstacle-malformed-json": (["obstacle", "FILE"], "{not json"),
     "obstacle-invalid-graph": (["obstacle", "FILE"], dumps({"n": 3, "edges": [[0, 0]]})),
     "obstacle-over-cap": (["obstacle", "FILE"], dumps({"n": MAX_DECIDE_VERTICES, "edges": []})),
     "obstacle-boolean-vertex": (["obstacle", "FILE"], dumps({"n": 4, "edges": [[True, 2]]})),
     "obstacle-boolean-size": (["obstacle", "FILE"], dumps({"n": True, "edges": []})),
+    "obstacle-negative-size": (["obstacle", "FILE"], dumps({"n": -1, "edges": []})),
     "construct-over-cap": (["construct", "path", "--k", str(MAX_CHART_POINTS)], None),
     "enumerate-out-of-range": (["enumerate", "9", "--out", "FILE"], None),
     "enumerate-out-is-a-file": (["enumerate", "3", "--out", "FILE"], ""),
@@ -264,3 +268,18 @@ def test_readme_commands_parse():
             parser.parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+
+
+def test_readme_library_names_resolve():
+    # the block starts with ``from geodesic import *``, so every function
+    # it calls must be a public name of the package
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## Library surface\n\n```python\n(.*?)^```", readme, re.M | re.S).group(1)
+    called = {
+        node.func.id
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert len(called) >= 8
+    missing = sorted(name for name in called if name not in geodesic.__all__ or not hasattr(geodesic, name))
+    assert not missing, f"README calls names that geodesic does not export: {missing}"

@@ -87,7 +87,8 @@ class TestPaperInstances:
 # closure derives facts, or to the branching, shows.  With core orders
 # (the default), the apex-word filter leaves based C6, C8 and P5-bar no
 # order to search; without them, the closure order is pinned on C6 and
-# P5-bar.
+# P5-bar.  The two planted non-metric inputs keep 3 and 5 core orders,
+# the only ones here that seed more than one.
 CLOSURE_ONLY = DecideOptions(core_order=False)
 PAPER_STATS = {
     "C6": (based_hypergraph(cycle_graph(6)), None, SearchStats()),
@@ -105,6 +106,8 @@ PAPER_STATS = {
         CLOSURE_ONLY,
         SearchStats(951, {"middle-clash": 271, "non-hyperedge": 364}),
     ),
+    "planted-24": (_planted(24, 5, 2, 0.5), None, SearchStats(210, {"non-hyperedge": 128, "middle-clash": 13})),
+    "planted-31": (_planted(31, 5, 2, 0.5), None, SearchStats(452, {"middle-clash": 81, "non-hyperedge": 222})),
 }
 
 

@@ -8,7 +8,6 @@ from geodesic.obstacles import (
     ObstacleRouteInapplicable,
     certify_obstacle,
     cycle_obstacle_restrictions,
-    verify_cycle_obstacle_minimality,
 )
 
 
@@ -77,16 +76,16 @@ class TestCertifyObstacle:
 
 class TestCycleObstacleMinimality:
     def test_n6(self):
-        assert verify_cycle_obstacle_minimality(6)
+        assert all(check.ok for check in cycle_obstacle_restrictions(6))
 
     def test_n8(self):
-        assert verify_cycle_obstacle_minimality(8)
+        assert all(check.ok for check in cycle_obstacle_restrictions(8))
 
     def test_n4_rejected(self):
         with pytest.raises(ValueError):
-            verify_cycle_obstacle_minimality(4)
+            cycle_obstacle_restrictions(4)
         with pytest.raises(ValueError):
-            verify_cycle_obstacle_minimality(7)
+            cycle_obstacle_restrictions(7)
 
     def test_restrictions_have_exactly_two_lines(self):
         for check in cycle_obstacle_restrictions(6):

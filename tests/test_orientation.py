@@ -80,23 +80,15 @@ class TestOrientationState:
         assert state.middles == before
 
     def test_seeded_linear_core_is_closed(self):
-        # seeding all order-median facts of a core, whole or as a suffix
-        # on top of the prefix it shares with an order seeded before, and
-        # then closing any one of them again derives nothing new
+        # seeding all order-median facts of a core and then closing any one
+        # of them again derives nothing new
         from geodesic.decider import _linear_core_facts
 
         h = based_hypergraph(cycle_graph(5))
-        order = (0, 1, 2, 3, 4)
-        whole = OrientationState(h)
-        whole.seed_unchecked(_linear_core_facts(order))
-        resumed = OrientationState(h)
-        resumed.seed_unchecked(_linear_core_facts((0, 1, 2, 4, 3)))
-        resumed.rollback(1)  # the C(3, 3) facts of the shared prefix 0, 1, 2
-        resumed.seed_unchecked(_linear_core_facts(order, 3))
-        assert resumed._facts == whole._facts
-        for state in (whole, resumed):
-            closed = orientation_closure(h, dict(state.middles))
-            assert closed == state.middles
+        state = OrientationState(h)
+        state.seed_unchecked(_linear_core_facts((0, 1, 2, 3, 4)))
+        closed = orientation_closure(h, dict(state.middles))
+        assert closed == state.middles
 
 
 class _ScanState:
