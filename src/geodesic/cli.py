@@ -37,10 +37,10 @@ EXIT_NONMETRIC = 10
 # lists C(n, 3) triples, so a tiny file naming a huge ``n`` would
 # otherwise exhaust time or memory.  The largest claim input, based C10
 # on 11 vertices, is decided in about 0.06 s.  Based C14 on 15 takes
-# 3.5-4.5 s, seeded shortest-path metrics on 12-16 vertices (seeds 0-2)
-# up to 7.2 s, and a seeded random 10-vertex input with 28 triples
-# about 11 s, on a 2-core machine with Python 3.11 (ROADMAP item 16),
-# so the cap alone does not bound the time.
+# about 3 s, seeded shortest-path metrics on 12-16 vertices (seeds 0-2)
+# up to 5.4 s, and a seeded random 10-vertex input with 28 triples
+# 7-8 s, on a 2-core machine with Python 3.11 (ROADMAP item 16), so the
+# cap alone does not bound the time.
 MAX_DECIDE_VERTICES = 16
 
 # Most points in a ``construct`` chart (``odd-cycle --s N`` has 2N + 2,

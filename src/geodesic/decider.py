@@ -8,7 +8,8 @@ metric space induces the hypergraph.
 
 When the hypergraph contains a complete core of at least five vertices,
 every realization orders that core linearly, so the search branches over
-linear orders of the core (reverses and automorphic relabelings skipped)
+linear orders of the core (reverses and automorphic relabelings skipped;
+the automorphisms are found from each outside vertex's link on the core)
 instead of orienting core triples one at a time.  Orders grow by
 prefix, a prefix under which some outside vertex's link is no step-word
 pattern is dropped (it has no realization), and each order that survives
@@ -116,34 +117,40 @@ def find_complete_core(h: Hypergraph3) -> Optional[tuple[int, ...]]:
     return tuple(core) if len(core) >= CORE_ORDER_MIN else None
 
 
+def _outside_links(h: Hypergraph3, core: tuple[int, ...]) -> list[dict[int, set[int]]]:
+    """The link of every vertex v outside the core, in increasing v: each
+    core vertex c maps to the core vertices d with {v, c, d} a hyperedge."""
+    core_set = set(core)
+    links = {v: {c: set() for c in core} for v in range(h.n) if v not in core_set}
+    for t in h.triples:
+        outside = [v for v in t if v not in core_set]
+        if len(outside) == 1:
+            a, b = (v for v in t if v in core_set)
+            links[outside[0]][a].add(b)
+            links[outside[0]][b].add(a)
+    return list(links.values())
+
+
 def _core_automorphisms(h: Hypergraph3, core: tuple[int, ...], cap: int) -> Optional[list[dict[int, int]]]:
     """Permutations of the core, fixing everything else, that preserve h.
 
-    Backtracking, filtered by the number of hyperedges each core vertex
-    shares with outside vertices; None when more than ``cap`` maps exist
-    (callers then reduce by reversal only, which is always sound).
+    Such a map keeps every triple inside the complete core or outside it,
+    so it preserves h exactly when it preserves every outside vertex's
+    link and the core vertex of every hyperedge with two outside vertices.
+    Backtracking maps a core vertex only to one of the same colour (its
+    degree in every link and the outside pairs it completes: the
+    vertex-invariant pruning of McKay and Piperno) whose link pairs with
+    the vertices mapped so far agree.  None when more than ``cap`` maps
+    exist (callers then reduce by reversal only, which is always sound).
     """
-    core_set = set(core)
-    outside_deg = [0] * h.n
+    links = _outside_links(h, core)
+    pairs: dict[int, set[tuple[int, ...]]] = {c: set() for c in core}
     for t in h.triples:
-        outs = sum(1 for v in t if v not in core_set)
-        if outs:
-            for v in t:
-                if v in core_set:
-                    outside_deg[v] += 1
-
-    # Triples with core members and outside vertices, hyperedges or not,
-    # bucketed by their latest core position.  A map that fixes every
-    # outside vertex permutes them, so it preserves h iff it keeps each
-    # one's membership; triples inside the complete core always map to
-    # hyperedges.
-    pos = {v: i for i, v in enumerate(core)}
-    buckets: dict[int, list[tuple[Triple, bool]]] = {i: [] for i in range(len(core))}
-    for t in itertools.combinations(range(h.n), 3):
-        members = [v for v in t if v in core_set]
-        if 0 < len(members) < 3:
-            buckets[max(pos[v] for v in members)].append((t, t in h.triples))
-
+        inside = [v for v in t if v in pairs]
+        if len(inside) == 1:
+            pairs[inside[0]].add(tuple(v for v in t if v != inside[0]))
+    colour = {c: (tuple(len(link[c]) for link in links), frozenset(pairs[c])) for c in core}
+    same = {v: [w for w in core if colour[w] == colour[v]] for v in core}
     found: list[dict[int, int]] = []
     mapping: dict[int, int] = {}
     used: set[int] = set()
@@ -153,25 +160,17 @@ def _core_automorphisms(h: Hypergraph3, core: tuple[int, ...], cap: int) -> Opti
             found.append(dict(mapping))
             return len(found) <= cap
         v = core[k]
-        for w in core:
-            if w in used or outside_deg[w] != outside_deg[v]:
-                continue
-            mapping[v] = w
-            used.add(w)
-            ok = True
-            for t, edge in buckets[k]:
-                if (sorted_triple(*(mapping.get(x, x) for x in t)) in h.triples) != edge:
-                    ok = False
-                    break
-            if ok and not extend(k + 1):
-                return False
-            del mapping[v]
-            used.discard(w)
+        for w in same[v]:
+            if w not in used and all((d in link[v]) == (mapping[d] in link[w]) for link in links for d in mapping):
+                mapping[v] = w
+                used.add(w)
+                if not extend(k + 1):
+                    return False
+                del mapping[v]
+                used.discard(w)
         return True
 
-    if not extend(0):
-        return None
-    return found
+    return found if extend(0) else None
 
 
 def _pair_bit(i: int, j: int) -> int:
@@ -260,27 +259,14 @@ def _core_orders(h: Hypergraph3, core: tuple[int, ...]) -> Iterator[tuple[int, .
     g(order) first differs from the order just after a prefix g fixes, so
     orders grow by one vertex that no automorphism fixing the prefix maps
     lower; reversed images are compared on whole orders.  A vertex is
-    appended only when the link of every outside vertex (the prefix
-    position pairs it forms a hyperedge with) stays a word pattern, see
-    :func:`_is_word_pattern`; that test is invariant under the
-    automorphisms and reversal, so it removes whole orbits.
+    appended only when the link of every outside vertex
+    (:func:`_outside_links`, read as the prefix position pairs) stays a
+    word pattern, see :func:`_is_word_pattern`; that test is invariant
+    under the automorphisms and reversal, so it removes whole orbits.
     """
     autos = _core_automorphisms(h, core, AUTOMORPHISM_CAP) or [{v: v for v in core}]
-    core_set = set(core)
-    near: dict[int, dict[int, set[int]]] = {}  # outside vertex -> core vertex -> its link partners
-    for t in h.triples:
-        outside = [v for v in t if v not in core_set]
-        if len(outside) == 1:
-            a, b = (v for v in t if v in core_set)
-            partners = near.setdefault(outside[0], {})
-            partners.setdefault(a, set()).add(b)
-            partners.setdefault(b, set()).add(a)
-    patterns: dict[tuple[int, int], bool] = {}
-
-    def fits(k: int, link: int) -> bool:
-        if (k, link) not in patterns:
-            patterns[k, link] = _is_word_pattern(k, link)
-        return patterns[k, link]
+    near = _outside_links(h, core)
+    fits = lru_cache(maxsize=None)(_is_word_pattern)
 
     def grow(
         prefix: tuple[int, ...], stabilizer: list[dict[int, int]], links: tuple[int, ...]
@@ -297,8 +283,8 @@ def _core_orders(h: Hypergraph3, core: tuple[int, ...]) -> Iterator[tuple[int, .
         for v in core:
             if v not in prefix and all(g[v] >= v for g in stabilizer):
                 grown = tuple(
-                    link | sum(_pair_bit(i, k) for i, u in enumerate(prefix) if u in partners.get(v, ()))
-                    for link, partners in zip(links, near.values())
+                    link | sum(_pair_bit(i, k) for i, u in enumerate(prefix) if u in partners[v])
+                    for link, partners in zip(links, near)
                 )
                 if all(fits(k + 1, link) for link in grown):
                     yield from grow(prefix + (v,), [g for g in stabilizer if g[v] == v], grown)

@@ -32,6 +32,14 @@ def _check_vertex(v: int, n: int) -> None:
         raise ValueError(f"vertex {v!r} out of range 0..{n - 1}")
 
 
+def _relabel_map(vertices: Iterable[int], n: int) -> dict[int, int]:
+    """Each of ``vertices``, checked to lie in 0..n-1, to its rank among them."""
+    vertices = list(vertices)
+    for v in vertices:
+        _check_vertex(v, n)
+    return {v: i for i, v in enumerate(sorted(set(vertices)))}
+
+
 def _check_size(n: int) -> None:
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValueError(f"size n must be a nonnegative integer, got {n!r}")
@@ -78,14 +86,11 @@ class Graph:
 
     def induced(self, vertices: Iterable[int]) -> "Graph":
         """Induced subgraph, vertices relabeled 0..k-1 in sorted order."""
-        keep = sorted(set(vertices))
-        for v in keep:
-            _check_vertex(v, self.n)
-        relabel = {v: i for i, v in enumerate(keep)}
+        relabel = _relabel_map(vertices, self.n)
         edges = frozenset(
             (relabel[u], relabel[v]) for u, v in self.edges if u in relabel and v in relabel
         )
-        return Graph(len(keep), edges)
+        return Graph(len(relabel), edges)
 
 
 def path_graph(n: int) -> Graph:
@@ -149,16 +154,13 @@ class Hypergraph3:
 
 def induced_subhypergraph(h: Hypergraph3, vertices: Iterable[int]) -> Hypergraph3:
     """Triples inside ``vertices``, relabeled 0..k-1 in sorted vertex order."""
-    keep = sorted(set(vertices))
-    for v in keep:
-        _check_vertex(v, h.n)
-    relabel = {v: i for i, v in enumerate(keep)}
+    relabel = _relabel_map(vertices, h.n)
     triples = frozenset(
         (relabel[a], relabel[b], relabel[c])
         for a, b, c in h.triples
         if a in relabel and b in relabel and c in relabel
     )
-    return Hypergraph3(len(keep), triples)
+    return Hypergraph3(len(relabel), triples)
 
 
 def based_hypergraph(g: Graph) -> Hypergraph3:
@@ -209,8 +211,7 @@ class PairEquivalence:
 
     def restrict(self, vertices: Iterable[int]) -> "PairEquivalence":
         """Restriction to pairs inside ``vertices``, relabeled 0..k-1."""
-        keep = sorted(set(vertices))
-        relabel = {v: i for i, v in enumerate(keep)}
+        relabel = _relabel_map(vertices, self.n)
         blocks = set()
         for block in self.blocks:
             small = frozenset(
@@ -218,7 +219,7 @@ class PairEquivalence:
             )
             if small:
                 blocks.add(small)
-        return PairEquivalence(len(keep), frozenset(blocks))
+        return PairEquivalence(len(relabel), frozenset(blocks))
 
 
 def graph_equivalence(g: Graph) -> PairEquivalence:

@@ -111,12 +111,22 @@ def find_axiom_violations(points: Sequence[str], dist: Sequence[Sequence[Fractio
     return out
 
 
+def _exact(x: int | str | Fraction) -> Fraction:
+    """An int, Fraction or rational-string distance entry as a Fraction."""
+    if not isinstance(x, (bool, float)):
+        try:
+            return Fraction(x)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise ValueError(f"distance {x!r} is not an exact rational")
+
+
 def validate_metric(points: Sequence[str], dist: Sequence[Sequence[int | str | Fraction]]) -> MetricSpace:
     """Check a distance chart and return the validated MetricSpace.
 
-    Structural problems (non-square matrix, duplicate labels) raise
-    ``ValueError``; axiom failures raise :class:`MetricValidationError`
-    carrying every violation found.
+    Structural problems (non-square matrix, duplicate labels, an inexact
+    entry) raise ``ValueError``; axiom failures raise
+    :class:`MetricValidationError` carrying every violation found.
     """
     labels = tuple(str(p) for p in points)
     if len(set(labels)) != len(labels):
@@ -125,7 +135,7 @@ def validate_metric(points: Sequence[str], dist: Sequence[Sequence[int | str | F
         raise ValueError("empty point set")
     if len(dist) != len(labels) or any(len(row) != len(labels) for row in dist):
         raise ValueError("distance matrix shape does not match point count")
-    rows = tuple(tuple(Fraction(x) for x in row) for row in dist)
+    rows = tuple(tuple(_exact(x) for x in row) for row in dist)
     violations = find_axiom_violations(labels, rows)
     if violations:
         raise MetricValidationError(violations)

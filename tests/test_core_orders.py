@@ -49,6 +49,9 @@ PLANTED = {
     for density in (0.0, 0.2, 0.5)
     if (k, density) != (7, 0.0)  # its 5040 core automorphisms exceed the cap
 }
+# Three outside vertices, so several outside pairs that a core vertex may
+# complete to a hyperedge (the second part of its colour).
+PLANTED.update({f"planted3-k{k}-d{density}": _planted(2, k, 3, density) for k in (5, 6) for density in (0.2, 0.5)})
 # Complete 7-vertex cores whose every permutation is an automorphism.
 CAPPED = {
     "K7": Hypergraph3.from_triples(7, itertools.combinations(range(7), 3)),

@@ -132,6 +132,26 @@ class TestPairEquivalence:
         assert not eq.together((0, 1), (1, 2))
 
 
+@pytest.mark.parametrize(
+    "vertices, bad",
+    [([0, 1, 9], 9), ([-1, 0, 1], -1), ([True, 0, 2], True), ([1, True], True)],
+    ids=["high", "negative", "bool", "bool-twin"],
+)
+@pytest.mark.parametrize(
+    "select",
+    [
+        lambda vs: cycle_graph(4).induced(vs),
+        lambda vs: induced_subhypergraph(based_hypergraph(cycle_graph(3)), vs),
+        lambda vs: graph_equivalence(cycle_graph(4)).restrict(vs),
+    ],
+    ids=["induced", "induced_subhypergraph", "restrict"],
+)
+def test_vertex_selection_rejects_non_vertex(select, vertices, bad):
+    # each of the 4 vertices 0..3 is selectable; the message names the bad one
+    with pytest.raises(ValueError, match=rf"^vertex {bad!r} out of range 0\.\.3$"):
+        select(vertices)
+
+
 class TestGraphEquivalence:
     def test_c4_blocks(self):
         eq = graph_equivalence(cycle_graph(4))

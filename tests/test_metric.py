@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,15 @@ class TestValidateMetric:
     def test_rational_entries_stay_exact(self):
         m = validate_metric(["a", "b"], [[0, "1/3"], ["1/3", 0]])
         assert m.d("a", "b") == F(1, 3)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [0.1, 1.0, float("inf"), float("nan"), True, "1/0", "one", None, [1]],
+        ids=["float", "integral-float", "inf", "nan", "bool", "zero-denominator", "word", "none", "list"],
+    )
+    def test_inexact_entry_rejected_by_name(self, entry):
+        with pytest.raises(ValueError, match=rf"^distance {re.escape(repr(entry))} is not an exact rational$"):
+            validate_metric(["a", "b"], [[0, entry], [entry, 0]])
 
 
 class TestBetweenness:
