@@ -9,11 +9,16 @@ metric space induces the hypergraph.
 When the hypergraph contains a complete core of at least five vertices,
 every realization orders that core linearly, so the search branches over
 linear orders of the core (reverses and automorphic relabelings skipped;
-the automorphisms are found from each outside vertex's link on the core)
-instead of orienting core triples one at a time.  Orders grow by
-prefix, a prefix under which some outside vertex's link is no step-word
-pattern is dropped (it has no realization), and each order that survives
-is seeded whole.  Every branch is taken by one step, ``_Search.branch``.
+the automorphisms are found from each outside vertex's link on the core,
+once the walk first leaves the identity order) instead of orienting core
+triples one at a time.  Orders grow by prefix, and a prefix under which
+some outside vertex's link is no step-word pattern is dropped (it has no
+realization).  With at most one vertex outside the core, an order that
+survives is realized directly: the core on a line, the outside vertex at
+the distances its link's word gives (``_Search.chart``), so no LP is
+solved.  Otherwise, or if that chart fails its check, the order is
+seeded whole.  Every other branch is taken by one step,
+``_Search.branch``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from .feasibility import build_feasibility_system, solve_exact_feasibility
+from .feasibility import START, build_feasibility_system, solve_exact_feasibility
 
 # Unused here: the benchmark's tracer (bench/tracer.py) hooks this name to
 # report its relaxation metrics, which read 0 since relaxation pruning was
@@ -173,18 +178,25 @@ def _core_automorphisms(h: Hypergraph3, core: tuple[int, ...], cap: int) -> Opti
     return found if extend(0) else None
 
 
+@lru_cache(maxsize=None)
+def _cliques(k: int) -> tuple[tuple[int, ...], ...]:
+    """The position-mask table of k positions: ``_cliques(k)[lo][hi]`` is
+    the mask of every pair inside positions lo..hi, 0 when hi <= lo.  The
+    pairs inside the first j positions own the first C(j, 2) bits, so the
+    pairs (i, j), i < j, own the bits from C(j, 2) on."""
+    table = [[0] * k for _ in range(k)]
+    for lo in range(k):
+        for hi in range(lo + 1, k):
+            table[lo][hi] = table[lo][hi - 1] | ((1 << (hi - lo)) - 1) << (hi * (hi - 1) // 2 + lo)
+    return tuple(map(tuple, table))
+
+
 def _pair_bit(i: int, j: int) -> int:
-    """Bit of the position pair i < j in a link mask; the pairs inside the
-    first k positions own the first C(k, 2) bits."""
+    """Bit of the position pair i < j in a link mask."""
     return 1 << (j * (j - 1) // 2 + i)
 
 
-def _clique(lo: int, hi: int) -> int:
-    """Mask of every pair inside positions lo..hi."""
-    return sum(_pair_bit(i, j) for j in range(lo + 1, hi + 1) for i in range(lo, j))
-
-
-def _runs(link: int, lo: int, hi: int) -> Optional[list[tuple[int, int]]]:
+def _runs(link: int, lo: int, hi: int, clique: tuple[tuple[int, ...], ...]) -> Optional[list[tuple[int, int]]]:
     """The runs [s..e] of a step word on positions lo..hi whose R is
     exactly ``link`` (pairs inside lo..hi), or None when no word's is.
 
@@ -194,57 +206,103 @@ def _runs(link: int, lo: int, hi: int) -> Optional[list[tuple[int, int]]]:
     covered = 0
     s = lo
     while s < hi:
-        if link & _pair_bit(s, s + 1):
+        if link & clique[s][s + 1]:
             e = s + 1
-            while e < hi and all(link & _pair_bit(i, e + 1) for i in range(s, e + 1)):
+            while e < hi and not clique[s][e + 1] & ~link:
                 e += 1
             runs.append((s, e))
-            covered |= _clique(s, e)
+            covered |= clique[s][e]
             s = e
         else:
             s += 1
     return runs if covered == link else None
 
 
-def _is_word_pattern(k: int, link: int) -> bool:
-    """Is the pair set ``link`` on positions 0..k-1 R(w), or R(w) with
-    J(w), for some step word w in {+, -, 0}^(k-1)?
+def _sign_runs(runs: list[tuple[int, int]], signs: list[int], left: int, right: int) -> bool:
+    """Write alternating signs into the steps of every chain of touching
+    runs: a chain that starts at position ``left`` starts with +, one that
+    ends at ``right`` ends with -.  False when one chain must do both and
+    has an odd number of runs."""
+    i = 0
+    while i < len(runs):
+        j = i + 1
+        while j < len(runs) and runs[j][0] == runs[j - 1][1]:
+            j += 1
+        sign = 1
+        if runs[j - 1][1] == right and (j - i) % 2:
+            if runs[i][0] == left:
+                return False
+            sign = -1
+        for s, e in runs[i:j]:
+            signs[s:e] = [sign] * (e - s)
+            sign = -sign
+        i = j
+    return True
 
-    R(w) is every pair inside one maximal run of + steps or of - steps.
-    J(w) is every pair (i, j) with i <= L < R <= j, where [0..L] is the
-    initial - run and [R..k-1] the final + run.  Put a core on its line
-    at positions p, and let a be the distances of an outside vertex: a
-    is 1-Lipschitz, so the pairs with |a_j - a_i| = p_j - p_i are R(w)
-    for the word of tight steps, and the pairs with a_i + a_j = p_j - p_i
-    are J(w) or none.  So in every realization of a core order, the link
-    of every outside vertex is a word pattern, and so is its restriction
-    to any prefix.  With J, the middle [L..R] less the pair (L, R) is an
-    R of its own whose first step is no - step and last no + step: a
-    chain of touching runs from L to R alternates from + to -.
+
+_Word = tuple[tuple[int, ...], Optional[tuple[int, int]]]
+
+
+def _word(k: int, link: int) -> Optional[_Word]:
+    """A step word whose pattern on positions 0..k-1 is the pair set
+    ``link``, or None when there is none.
+
+    The word is a sign per step, +1, -1 or 0, and the J pair (L, R) or
+    None.  R(w) is every pair inside one maximal run of + steps or of -
+    steps.  J(w) is every pair (i, j) with i <= L < R <= j, where [0..L]
+    is the initial - run and [R..k-1] the final + run.
+
+    Put a core on its line at positions p, and let a be the distances of
+    an outside vertex: a is 1-Lipschitz, so the pairs with |a_j - a_i| =
+    p_j - p_i are R(w) for the word of tight steps, and the pairs with
+    a_i + a_j = p_j - p_i are J(w) or none.  So in every realization of a
+    core order, the link of every outside vertex is a word pattern, and
+    so is its restriction to any prefix.  With J, the middle [L..R] less
+    the pair (L, R) is an R of its own whose first step is no - step and
+    last no + step: a chain of touching runs from L to R alternates from
+    + to -.
+
+    Conversely every word is realized with one outside vertex, which is
+    the chart of :meth:`_Search.chart`: take p_i = START * i, step a by
+    START * sign, and shift a by a constant.  Then |a_j - a_i| = p_j - p_i
+    exactly inside a run, since a 0 step or one of the other sign gains
+    less than START.  a_i + p_i never falls and stays put only across -
+    steps, so it is least exactly on [0..L]; a_j - p_j never rises and
+    stays put only across + steps, so it is least exactly on [R..k-1].
+    So a_i + a_j - (p_j - p_i) is least exactly on the pairs with i <= L
+    and j >= R, (0, k-1) among them: on J(w) when L < R.  The shift puts
+    that least value at 0 with J and at START without.  Every a_i is
+    positive: a_i = 0 would make a_i + a_j = |p_j - p_i| for every j,
+    which needs J and every step before i a - step and every step after
+    it a + step, that is L >= i >= R.
     """
-    if _runs(link, 0, k - 1) is not None:
-        return True
+    clique = _cliques(k)
+    runs = _runs(link, 0, k - 1, clique)
+    if runs is not None:
+        signs = [0] * (k - 1)
+        _sign_runs(runs, signs, -1, -1)  # without J no chain has a forced sign
+        return tuple(signs), None
     if not link & _pair_bit(0, k - 1):
-        return False
+        return None
+    whole = clique[0][k - 1]
     for left in range(k - 1):
-        head = _clique(0, left)
+        head = clique[0][left]
         if head & ~link:
             break
         for right in range(k - 1, left, -1):
-            outer = head | _clique(right, k - 1)
-            outer |= sum(_pair_bit(i, j) for i in range(left + 1) for j in range(right, k))
+            outer = head | clique[right][k - 1] | whole & ~clique[0][right - 1] & ~clique[left + 1][k - 1]
             if outer & ~link:
                 break
             middle = link & ~outer
-            if middle & ~_clique(left, right):
+            if middle & ~clique[left][right]:
                 continue
-            runs = _runs(middle, left, right)
+            runs = _runs(middle, left, right, clique)
             if runs is None:
                 continue
-            chained = all(a[1] == b[0] for a, b in zip(runs, runs[1:]))
-            if not (runs and runs[0][0] == left and runs[-1][1] == right and chained) or len(runs) % 2 == 0:
-                return True
-    return False
+            signs = [-1] * left + [0] * (right - left) + [1] * (k - 1 - right)
+            if _sign_runs(runs, signs, left, right):
+                return tuple(signs), (left, right)
+    return None
 
 
 def _core_orders(h: Hypergraph3, core: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -258,38 +316,63 @@ def _core_orders(h: Hypergraph3, core: tuple[int, ...]) -> Iterator[tuple[int, .
     (more than ``AUTOMORPHISM_CAP``) only reversal is used.  An image
     g(order) first differs from the order just after a prefix g fixes, so
     orders grow by one vertex that no automorphism fixing the prefix maps
-    lower; reversed images are compared on whole orders.  A vertex is
-    appended only when the link of every outside vertex
-    (:func:`_outside_links`, read as the prefix position pairs) stays a
-    word pattern, see :func:`_is_word_pattern`; that test is invariant
-    under the automorphisms and reversal, so it removes whole orbits.
+    lower; reversed images are compared on whole orders.  The walk starts
+    down the identity order (the core is sorted), where the smallest
+    vertex left passes every such test and the whole order is its own
+    lex-leader, so the automorphisms are computed only when the walk
+    first leaves that path.  A vertex is appended only when the link of
+    every outside vertex (:func:`_outside_links`, read as the prefix
+    position pairs) stays a word pattern, see :func:`_word`; that test is
+    invariant under the automorphisms and reversal, so it removes whole
+    orbits.
     """
-    autos = _core_automorphisms(h, core, AUTOMORPHISM_CAP) or [{v: v for v in core}]
     near = _outside_links(h, core)
-    fits = lru_cache(maxsize=None)(_is_word_pattern)
+    # rows[x][u]: the prefix positions of u's partners in link x, so that
+    # appending u at position k adds the link bits rows[x][u] << C(k, 2)
+    rows = [dict.fromkeys(core, 0) for _ in near]
+    word = lru_cache(maxsize=None)(_word)
+    group: list[list[dict[int, int]]] = []
+
+    def automorphisms() -> list[dict[int, int]]:
+        if not group:
+            group.append(_core_automorphisms(h, core, AUTOMORPHISM_CAP) or [{v: v for v in core}])
+        return group[0]
 
     def grow(
-        prefix: tuple[int, ...], stabilizer: list[dict[int, int]], links: tuple[int, ...]
+        prefix: tuple[int, ...], stabilizer: Optional[list[dict[int, int]]], links: tuple[int, ...]
     ) -> Iterator[tuple[int, ...]]:
+        # stabilizer None: prefix starts the identity order, and the maps
+        # fixing it are not computed yet
         k = len(prefix)
         if k == len(core):
             # a reversed image g(reverse) starts with g(last)
             first, last, reverse = prefix[0], prefix[-1], prefix[::-1]
-            if all(
-                g[last] > first or (g[last] == first and tuple(map(g.__getitem__, reverse)) >= prefix) for g in autos
+            if stabilizer is None or all(
+                g[last] > first or (g[last] == first and tuple(map(g.__getitem__, reverse)) >= prefix)
+                for g in automorphisms()
             ):
                 yield prefix
             return
+        base = k * (k - 1) // 2
         for v in core:
-            if v not in prefix and all(g[v] >= v for g in stabilizer):
-                grown = tuple(
-                    link | sum(_pair_bit(i, k) for i, u in enumerate(prefix) if u in partners[v])
-                    for link, partners in zip(links, near)
-                )
-                if all(fits(k + 1, link) for link in grown):
-                    yield from grow(prefix + (v,), [g for g in stabilizer if g[v] == v], grown)
+            if v in prefix:
+                continue
+            if stabilizer is None and v != core[k]:
+                stabilizer = [g for g in automorphisms() if all(g[u] == u for u in prefix)]
+            if stabilizer is not None and any(g[v] < v for g in stabilizer):
+                continue
+            grown = tuple(link | row[v] << base for link, row in zip(links, rows))
+            if all(word(k + 1, link) is not None for link in grown):
+                for row, partners in zip(rows, near):
+                    for u in partners[v]:
+                        row[u] |= 1 << k
+                below = None if stabilizer is None else [g for g in stabilizer if g[v] == v]
+                yield from grow(prefix + (v,), below, grown)
+                for row, partners in zip(rows, near):
+                    for u in partners[v]:
+                        row[u] ^= 1 << k
 
-    return grow((), autos, (0,) * len(near))
+    return grow((), None, (0,) * len(near))
 
 
 def _linear_core_facts(core_order: tuple[int, ...]) -> list[tuple[Triple, int]]:
@@ -348,6 +431,46 @@ class _Search:
             raise AssertionError("feasible leaf induced the wrong hypergraph; engine bug")
         return witness
 
+    def chart(self, order: tuple[int, ...]) -> Optional[MetricSpace]:
+        """The line-plus-apex witness of a core order that leaves at most
+        one vertex outside, or None when it does not re-induce h.
+
+        The core sits at positions START * i on a line; the outside vertex,
+        if any, takes the distances of its link's word (see :func:`_word`).
+        A chart counts as one node and one solved leaf.
+        """
+        n, k = self.h.n, len(order)
+        dist: list[list[int | Fraction]] = [[0] * n for _ in range(n)]
+        for i, u in enumerate(order):
+            for j, v in enumerate(order):
+                dist[u][v] = START * abs(i - j)
+        triples = self.h.triples
+        for apex in set(range(n)).difference(order):
+            link = sum(
+                _pair_bit(i, j)
+                for j in range(k)
+                for i in range(j)
+                if sorted_triple(apex, order[i], order[j]) in triples
+            )
+            decoded = _word(k, link)
+            if decoded is None:
+                return None
+            signs, jpair = decoded
+            a = list(itertools.accumulate((START * s for s in signs), initial=0))
+            # a_i + a_j - (p_j - p_i) is least at (0, k-1): 0 with J, else START
+            shift = Fraction((0 if jpair else START) - a[0] - a[-1] + START * (k - 1), 2)
+            for i, u in enumerate(order):
+                dist[apex][u] = dist[u][apex] = a[i] + shift
+        try:
+            witness = validate_metric([str(i) for i in range(n)], dist)
+        except ValueError:
+            return None
+        if hypergraph_of(witness) != self.h:
+            return None
+        self.nodes += 1
+        self.leaves_solved += 1
+        return witness
+
     def branch(
         self, keep: int, seed: Sequence[tuple[Triple, int]] = (), fact: Optional[tuple[Triple, int]] = None
     ) -> Optional[MetricSpace]:
@@ -401,6 +524,7 @@ def _explore(
     core = find_complete_core(h) if core_order else None
     if core is not None:
         branches = _core_orders(h, core)
+        charted = h.n - len(core) <= 1
     else:
         root = min(h.triples, default=())
         branches = [(root, middle) for middle in root] or [None]
@@ -410,7 +534,9 @@ def _explore(
         if core is None:
             witness = search.branch(0, fact=branch)
         else:
-            witness = search.branch(0, seed=_linear_core_facts(branch))
+            witness = search.chart(branch) if charted else None
+            if witness is None:
+                witness = search.branch(0, seed=_linear_core_facts(branch))
         if witness is not None:
             return index, witness, search.stats()
     return None, None, search.stats()

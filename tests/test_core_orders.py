@@ -1,10 +1,11 @@
 """Direct tests of the core-order layer of the decider.
 
-``_core_automorphisms``, ``_is_word_pattern`` and ``_core_orders`` decide
-which core orders the search skips; one wrong map or one wrongly rejected
-link there would skip an order that holds the only witness.  Each test
-checks them against a reference built here by brute force (every step
-word, every permutation), or by the dihedral group of a cycle.
+``_core_automorphisms``, ``_word`` and ``_core_orders`` decide which core
+orders the search skips; one wrong map or one wrongly rejected link there
+would skip an order that holds the only witness, and one wrongly decoded
+word would give a chart that fails its check.  Each test checks them
+against a reference built here by brute force (every step word, every
+permutation), or by the dihedral group of a cycle.
 """
 
 import itertools
@@ -13,13 +14,16 @@ import tracemalloc
 
 import pytest
 
+from geodesic import decider
 from geodesic.decider import (
     AUTOMORPHISM_CAP,
     DecideOptions,
+    SearchStats,
     _core_automorphisms,
     _core_orders,
-    _is_word_pattern,
     _pair_bit,
+    _word,
+    clear_decision_cache,
     decide_metric,
     find_complete_core,
 )
@@ -91,19 +95,32 @@ def _orbit_leaders(core: tuple[int, ...], images: set[tuple[int, ...]]) -> list[
     return sorted(leaders)
 
 
-def _word_patterns(k: int) -> set[frozenset]:
+def _ends(w: tuple[int, ...]) -> tuple[int, int]:
+    """(L, R): [0..L] is the initial - run of the step word w, [R..k-1] its final + run."""
+    left = next((s for s in range(len(w)) if w[s] != -1), len(w))
+    right = next((s + 1 for s in reversed(range(len(w))) if w[s] != 1), 0)
+    return left, right
+
+
+def _pattern(w: tuple[int, ...], with_j: bool) -> frozenset:
+    """R(w), with J(w) when ``with_j``, as a set of position pairs."""
+    k = len(w) + 1
+    pairs = {(i, j) for i, j in itertools.combinations(range(k), 2) if w[i] != 0 and len(set(w[i:j])) == 1}
+    if with_j:
+        left, right = _ends(w)
+        pairs |= {(i, j) for i in range(left + 1) for j in range(right, k)}
+    return frozenset(pairs)
+
+
+def _word_patterns(k: int) -> dict[tuple, frozenset]:
     """R(w), and R(w) with J(w) when L < R, for every step word w in
-    {+, -, 0}^(k-1), as sets of position pairs."""
-    patterns = set()
-    for w in itertools.product("+-0", repeat=k - 1):
-        runs = frozenset(
-            (i, j) for i, j in itertools.combinations(range(k), 2) if w[i] != "0" and len(set(w[i:j])) == 1
-        )
-        patterns.add(runs)
-        left = next((s for s in range(k - 1) if w[s] != "-"), k - 1)
-        right = next((s + 1 for s in reversed(range(k - 1)) if w[s] != "+"), 0)
+    {+1, -1, 0}^(k-1), keyed by the word and its J pair (L, R) or None."""
+    patterns = {}
+    for w in itertools.product((1, -1, 0), repeat=k - 1):
+        patterns[w, None] = _pattern(w, False)
+        left, right = _ends(w)
         if left < right:
-            patterns.add(runs | {(i, j) for i in range(left + 1) for j in range(right, k)})
+            patterns[w, (left, right)] = _pattern(w, True)
     return patterns
 
 
@@ -113,7 +130,7 @@ def _mask(pairs) -> int:
 
 def _word_filtered(h: Hypergraph3, core: tuple[int, ...], orders: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """The whole orders under which the link of every outside vertex is a word pattern."""
-    patterns = _word_patterns(len(core))
+    patterns = set(_word_patterns(len(core)).values())
     outside = [x for x in range(h.n) if x not in core]
     return [
         order
@@ -174,6 +191,24 @@ def test_complete_seven_vertex_core_exceeds_cap(h):
     assert list(_core_orders(h, core)) == [p for p in itertools.permutations(core) if p[0] < p[-1]]
 
 
+def test_automorphisms_wait_until_the_walk_leaves_the_identity_order(monkeypatch):
+    # Down the identity order every lex-leader test passes without the
+    # maps, and a complete core's chart is its line, so deciding K7 never
+    # computes its 5040 maps; a walk that leaves the path computes them once.
+    calls = []
+    compute = decider._core_automorphisms
+    monkeypatch.setattr(decider, "_core_automorphisms", lambda *args: calls.append(args) or compute(*args))
+    clear_decision_cache()
+    try:
+        verdict = decide_metric(CAPPED["K7"])
+        assert verdict.metric and verdict.stats == SearchStats(1, leaves_solved=1)
+        assert calls == []
+        assert not decide_metric(CYCLES["C8"][1]).metric
+        assert len(calls) == 1
+    finally:
+        clear_decision_cache()
+
+
 @pytest.mark.parametrize("h", SMALL.values(), ids=SMALL.keys())
 def test_core_orders_are_orbit_leaders(h):
     core = _core(h)
@@ -223,19 +258,33 @@ def test_core_orders_memory_is_bounded():
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_word_check_matches_every_pair_set(k):
-    patterns = {_mask(p) for p in _word_patterns(k)}
+    patterns = {_mask(p) for p in _word_patterns(k).values()}
     for link in range(1 << (k * (k - 1) // 2)):
-        assert _is_word_pattern(k, link) == (link in patterns), (k, link)
+        assert (_word(k, link) is not None) == (link in patterns), (k, link)
 
 
 @pytest.mark.parametrize("k", [7, 8])
 def test_word_check_matches_patterns_and_their_flips(k):
-    patterns = {_mask(p) for p in _word_patterns(k)}
+    patterns = {_mask(p) for p in _word_patterns(k).values()}
     for link in patterns:
-        assert _is_word_pattern(k, link)
+        assert _word(k, link) is not None
         for bit in range(k * (k - 1) // 2):
             flipped = link ^ 1 << bit
-            assert _is_word_pattern(k, flipped) == (flipped in patterns), (k, flipped)
+            assert (_word(k, flipped) is not None) == (flipped in patterns), (k, flipped)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_every_word_decodes_to_its_pattern(k):
+    # The chart is built from the decoded word, so it must give the link
+    # back exactly: the J pair is the word's own (L, R), and the runs
+    # touching L and R carry the signs J needs.
+    for word, pattern in _word_patterns(k).items():
+        decoded = _word(k, _mask(pattern))
+        assert decoded is not None, word
+        signs, jpair = decoded
+        assert len(signs) == k - 1 and set(signs) <= {1, -1, 0}
+        assert jpair is None or jpair == _ends(signs)
+        assert _pattern(signs, jpair is not None) == pattern, word
 
 
 def test_word_filter_agrees_with_closure_search():

@@ -1,18 +1,23 @@
+import functools
 import itertools
 import random
 
 import pytest
 
+from geodesic import decider
 from geodesic.decider import (
     DecideOptions,
     SearchStats,
     _explore,
+    clear_decision_cache,
     decide_metric,
     decide_metric_naive,
     find_complete_core,
     is_minimal_nonmetric,
 )
+from geodesic.enumeration import canonical_form
 from geodesic.hypergraphs import (
+    Graph,
     Hypergraph3,
     based_hypergraph,
     complement,
@@ -86,13 +91,14 @@ class TestPaperInstances:
 # Search statistics, pinned so that any change to the order in which
 # closure derives facts, or to the branching, shows.  With core orders
 # (the default), the apex-word filter leaves based C6, C8 and P5-bar no
-# order to search; without them, the closure order is pinned on C6 and
+# order to search, and based C7 is charted on its first order (one node,
+# one solved leaf); without them, the closure order is pinned on C6 and
 # P5-bar.  The two planted non-metric inputs keep 3 and 5 core orders,
 # the only ones here that seed more than one.
 CLOSURE_ONLY = DecideOptions(core_order=False)
 PAPER_STATS = {
     "C6": (based_hypergraph(cycle_graph(6)), None, SearchStats()),
-    "C7": (based_hypergraph(cycle_graph(7)), None, SearchStats(13, {"non-hyperedge": 5}, leaves_solved=1)),
+    "C7": (based_hypergraph(cycle_graph(7)), None, SearchStats(1, leaves_solved=1)),
     "C8": (based_hypergraph(cycle_graph(8)), None, SearchStats()),
     "P5-bar": (based_hypergraph(complement(path_graph(5))), None, SearchStats()),
     "6v8t": (NONMETRIC_6V_8T, None, SearchStats(129, {"non-hyperedge": 75, "middle-clash": 5}, leaves_infeasible=7)),
@@ -117,9 +123,10 @@ def test_paper_instance_stats_pinned(h, options, stats):
 
 
 # Witness distance matrices of the default decision on based C7 and C9:
-# the cycle's vertices on a line spaced 10 apart (the solver's
-# ``feasibility.START``), the apex last.  Pinned so that a solver change
-# moving the leaf LP's vertex shows.
+# the cycle's vertices on a line spaced 10 apart (``feasibility.START``),
+# the apex last.  The chart of the first core order gives them; the leaf
+# LP of that order gives the same vertex.  Pinned so that a change to
+# either shows.
 WITNESS_C7 = [
     [0, 10, 20, 30, 40, 50, 60, 30],
     [10, 0, 10, 20, 30, 40, 50, 40],
@@ -149,6 +156,65 @@ def test_paper_witness_pinned(n, dist):
     witness = decide_metric(based_hypergraph(cycle_graph(n))).witness
     assert witness.points == tuple(str(i) for i in range(n + 1))
     assert [list(row) for row in witness.dist] == dist
+
+
+def test_failed_chart_falls_back_to_the_seeded_order(monkeypatch):
+    # With the line collapsed the chart fails its check, and the order is
+    # seeded and solved as a leaf LP instead, to the same witness.
+    monkeypatch.setattr(decider, "START", 0)
+    clear_decision_cache()
+    try:
+        verdict = decide_metric(based_hypergraph(cycle_graph(7)))
+    finally:
+        clear_decision_cache()
+    assert verdict.stats == SearchStats(13, {"non-hyperedge": 5}, leaves_solved=1)
+    assert [list(row) for row in verdict.witness.dist] == WITNESS_C7
+
+
+@functools.cache
+def _graph_classes(n: int) -> tuple[Graph, ...]:
+    """One graph per isomorphism class on n vertices, deduplicated by the
+    canonical form of its based hypergraph: every graph is one on n - 1
+    vertices with vertex n - 1 joined to some of them."""
+    smaller = _graph_classes(n - 1) if n > 1 else (Graph(0, frozenset()),)
+    classes = {}
+    for g in smaller:
+        for joined in range(1 << (n - 1)):
+            edges = g.edges | {(v, n - 1) for v in range(n - 1) if joined >> v & 1}
+            graph = Graph(n, frozenset(edges))
+            classes.setdefault(canonical_form(based_hypergraph(graph)), graph)
+    return tuple(classes.values())
+
+
+class TestBasedCensus:
+    """Based hypergraphs of every graph class on 5 and 6 vertices: a
+    complete core with one apex outside, decided by the word of the apex
+    link alone (ROADMAP, "Based-graph census")."""
+
+    @pytest.mark.parametrize("n, classes, metric", [(5, 34, 19), (6, 156, 37)])
+    def test_counts_and_charts(self, monkeypatch, n, classes, metric):
+        def no_lp(system):
+            raise AssertionError("a based hypergraph reached the leaf LP")
+
+        monkeypatch.setattr(decider, "solve_exact_feasibility", no_lp)
+        graphs = _graph_classes(n)
+        assert len(graphs) == classes
+        clear_decision_cache()
+        try:
+            verdicts = [(h, decide_metric(h)) for h in map(based_hypergraph, graphs)]
+        finally:
+            clear_decision_cache()
+        assert sum(v.metric for _, v in verdicts) == metric
+        for h, v in verdicts:
+            # a metric verdict is the chart of the first order; a non-metric
+            # one leaves no order to seed
+            assert v.stats == (SearchStats(1, leaves_solved=1) if v.metric else SearchStats())
+            assert not v.metric or hypergraph_of(v.witness) == h
+
+    def test_agrees_with_closure_search_on_5_vertices(self):
+        for g in _graph_classes(5):
+            h = based_hypergraph(g)
+            assert decide_metric(h).metric == decide_metric(h, DecideOptions(core_order=False)).metric, g
 
 
 # Shortest-path metrics are metric by construction, so the verdict is

@@ -18,7 +18,7 @@ from geodesic.feasibility import (
     strictness_constraints,
 )
 from geodesic.hypergraphs import Hypergraph3, based_hypergraph, cycle_graph
-from geodesic.metric import betweenness_triples, hypergraph_of
+from geodesic.metric import betweenness_triples, hypergraph_of, middle
 
 
 class TestSystemConstruction:
@@ -269,16 +269,18 @@ def _assert_paper_leaf_systems_match(monkeypatch):
         systems.append((nv, eqs, ineqs))
         return solve(nv, eqs, ineqs)
 
+    # Based C7 and C9 are decided by a chart, with no LP: their leaf
+    # systems are built from the middles of their witnesses.  The seven
+    # infeasible leaves of the 6-vertex instance are recorded as it is
+    # decided.
     monkeypatch.setattr(feasibility, "solve_nonneg_feasibility", record)
-    instances = [
-        based_hypergraph(cycle_graph(7)),
-        based_hypergraph(cycle_graph(9)),
-        NONMETRIC_6V_8T,
-    ]
     clear_decision_cache()
     try:
-        for h in instances:
-            decide_metric(h)
+        for n in (7, 9):
+            h = based_hypergraph(cycle_graph(n))
+            dist = decide_metric(h).witness.dist
+            solve_exact_feasibility(build_feasibility_system(h, {t: middle(dist, *t) for t in h.triples}))
+        decide_metric(NONMETRIC_6V_8T)
     finally:
         clear_decision_cache()
     results = [solve(*system) for system in systems]

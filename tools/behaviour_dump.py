@@ -1,14 +1,17 @@
 """Dump the decider's observable behaviour on a fixed input set, and hash it.
 
-Two checkouts that print the same SHA-256 give the same verdicts,
-witnesses, search tallies (conflict causes in the order they were first
-met), canonical forms and n=6 enumeration on every input below.  Run it
-from any directory; it imports the package from the ``src`` next to it
-and reads ``bench/data`` without writing there:
+It prints two SHA-256 hashes.  Two checkouts that print the same first
+hash give the same verdicts, witnesses, search tallies (conflict causes
+in the order they were first met), canonical forms and n=6 enumeration
+on every input below.  The second hash covers the verdicts alone (metric
+or not, per input and option) and the n=6 enumeration, so a change that
+moves only witnesses or tallies keeps it.  Run it from any directory; it
+imports the package from the ``src`` next to it and reads ``bench/data``
+without writing there:
 
     python3 tools/behaviour_dump.py [--out dump.jsonl]
 
-``--out`` also writes the dump itself, one JSON line per input, so two
+``--out`` also writes the full dump, one JSON line per input, so two
 dumps can be compared line by line.  A full run takes a few minutes.
 
 Inputs: the ``random-n7`` pool and the ``enum_n6`` classes of
@@ -104,14 +107,28 @@ def dump_lines() -> list[str]:
     return lines
 
 
+def verdict_line(line: str) -> str:
+    """A dump line with everything but the verdicts dropped."""
+    record = json.loads(line)
+    for key in ("core_order", "no_core_order"):
+        if key in record:
+            record[key] = record[key]["verdict"]["verdict"]
+    record.pop("hypergraph", None)
+    record.pop("canonical_form", None)
+    return json.dumps(record)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, help="also write the dump here, one JSON line per input")
     args = parser.parse_args(argv)
-    text = "".join(line + "\n" for line in dump_lines())
+    lines = dump_lines()
+    text = "".join(line + "\n" for line in lines)
     if args.out is not None:
         args.out.write_text(text, encoding="utf-8")
     print(hashlib.sha256(text.encode()).hexdigest())
+    verdicts = "".join(verdict_line(line) + "\n" for line in lines)
+    print(hashlib.sha256(verdicts.encode()).hexdigest())
     return 0
 
 
