@@ -6,7 +6,9 @@ verify-paper.  Exit codes: 0 success (for ``decide``: metric),
 Every input error (an unreadable, malformed or unwritable file, an
 invalid object, a size over a cap) reaches ``main`` as an ``OSError`` or
 ``ValueError`` and is reported there as one ``error:`` line on standard
-error.
+error.  An ``AssertionError`` is an engine bug (a witness that failed its
+own check), not an input error, and is deliberately left unmapped: it
+ends the command with a traceback.
 """
 
 from __future__ import annotations
@@ -36,11 +38,11 @@ EXIT_NONMETRIC = 10
 # C(n, 2) variables and up to 3 * C(n, 3) rows, and a based hypergraph
 # lists C(n, 3) triples, so a tiny file naming a huge ``n`` would
 # otherwise exhaust time or memory.  The largest claim input, based C10
-# on 11 vertices, is decided in about 0.06 s.  Based C14 on 15 takes
-# about 3 s, seeded shortest-path metrics on 12-16 vertices (seeds 0-2)
-# up to 5.4 s, and a seeded random 10-vertex input with 28 triples
-# 7-8 s, on a 2-core machine with Python 3.11 (ROADMAP item 16), so the
-# cap alone does not bound the time.
+# on 11 vertices, is decided in about 0.035 s, and based C14 on 15 in
+# about 3.2 s (three runs each); seeded shortest-path metrics on 12-16
+# vertices (seeds 0-2) took up to 5.4 s, and a seeded random 10-vertex
+# input with 28 triples 7-8 s (ROADMAP item 16).  All on a 2-core
+# machine with Python 3.11, so the cap alone does not bound the time.
 MAX_DECIDE_VERTICES = 16
 
 # Most points in a ``construct`` chart (``odd-cycle --s N`` has 2N + 2,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .hypergraphs import Graph, based_hypergraph, cycle_graph, path_graph
+from .hypergraphs import Graph, _check_size, based_hypergraph, cycle_graph, path_graph
 from .metric import MetricSpace, hypergraph_of, validate_metric
 
 
@@ -49,6 +49,7 @@ def odd_cycle_metric(s: int) -> MetricSpace:
     apex pairs are then exactly the consecutive pairs plus {0, 2s},
     i.e. the odd cycle 0-1-...-2s-0.
     """
+    _check_size(s)
     if s < 1:
         raise ValueError("s must be at least 1")
     n = 2 * s + 1
@@ -63,6 +64,7 @@ def path_based_metric(k: int) -> MetricSpace:
     from odd ones.  With that choice of cycle length the pair {0, k-1}
     stays a non-edge.
     """
+    _check_size(k)
     if k < 2:
         raise ValueError("path needs at least 2 vertices")
     return _verified(_line_apex_chart(k, k), path_graph(k), f"path_based_metric({k})")

@@ -16,9 +16,10 @@ some outside vertex's link is no step-word pattern is dropped (it has no
 realization).  With at most one vertex outside the core, an order that
 survives is realized directly: the core on a line, the outside vertex at
 the distances its link's word gives (``_Search.chart``), so no LP is
-solved.  Otherwise, or if that chart fails its check, the order is
-seeded whole.  Every other branch is taken by one step,
-``_Search.branch``.
+solved.  Otherwise the order is seeded whole.  Every other branch is
+taken by one step, ``_Search.branch``.  A chart and a solved leaf pass
+the same check (``_Search._witness``); one that fails it is an engine
+bug and raises ``AssertionError``.
 """
 
 from __future__ import annotations
@@ -305,9 +306,10 @@ def _word(k: int, link: int) -> Optional[_Word]:
     return None
 
 
-def _core_orders(h: Hypergraph3, core: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+def _core_orders(h: Hypergraph3, core: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[_Word, ...]]]:
     """Linear orders of the core that may have a realization, one per
-    symmetry class, lazily.
+    symmetry class, lazily, each with the word (:func:`_word`) of every
+    outside vertex's link at that order, in increasing vertex.
 
     Two orders explore isomorphic subtrees when one is the other
     reversed or relabeled by an automorphism of the hypergraph, so only
@@ -324,7 +326,8 @@ def _core_orders(h: Hypergraph3, core: tuple[int, ...]) -> Iterator[tuple[int, .
     every outside vertex (:func:`_outside_links`, read as the prefix
     position pairs) stays a word pattern, see :func:`_word`; that test is
     invariant under the automorphisms and reversal, so it removes whole
-    orbits.
+    orbits.  The words of a whole order were decoded by the test of its
+    last vertex and are yielded from the walk's cache.
     """
     near = _outside_links(h, core)
     # rows[x][u]: the prefix positions of u's partners in link x, so that
@@ -340,7 +343,7 @@ def _core_orders(h: Hypergraph3, core: tuple[int, ...]) -> Iterator[tuple[int, .
 
     def grow(
         prefix: tuple[int, ...], stabilizer: Optional[list[dict[int, int]]], links: tuple[int, ...]
-    ) -> Iterator[tuple[int, ...]]:
+    ) -> Iterator[tuple[tuple[int, ...], tuple[_Word, ...]]]:
         # stabilizer None: prefix starts the identity order, and the maps
         # fixing it are not computed yet
         k = len(prefix)
@@ -351,7 +354,7 @@ def _core_orders(h: Hypergraph3, core: tuple[int, ...]) -> Iterator[tuple[int, .
                 g[last] > first or (g[last] == first and tuple(map(g.__getitem__, reverse)) >= prefix)
                 for g in automorphisms()
             ):
-                yield prefix
+                yield prefix, tuple(word(k, link) for link in links)
             return
         base = k * (k - 1) // 2
         for v in core:
@@ -419,57 +422,50 @@ class _Search:
                     break
         return best
 
+    def _witness(self, solution: dict[Pair, Fraction]) -> MetricSpace:
+        """The witness of pair distances that realize h, counted as one
+        solved leaf.  Distances that are no metric, or that induce another
+        hypergraph, are an engine bug: ``AssertionError``, never the
+        ``ValueError`` of an invalid input."""
+        try:
+            witness = _witness_space(self.h.n, solution)
+        except ValueError as exc:
+            raise AssertionError(f"witness is no metric ({exc}); engine bug") from exc
+        if hypergraph_of(witness) != self.h:
+            raise AssertionError("witness induced the wrong hypergraph; engine bug")
+        self.leaves_solved += 1
+        return witness
+
     def leaf(self, middles: dict[Triple, int]) -> Optional[MetricSpace]:
-        """The witness of a total middle assignment, or None."""
+        """The checked witness (:meth:`_witness`) of a total middle
+        assignment, or None when its LP is infeasible."""
         solution = solve_exact_feasibility(build_feasibility_system(self.h, middles))
         if solution is None:
             self.leaves_infeasible += 1
             return None
-        self.leaves_solved += 1
-        witness = _witness_space(self.h.n, solution)
-        if hypergraph_of(witness) != self.h:
-            raise AssertionError("feasible leaf induced the wrong hypergraph; engine bug")
-        return witness
+        return self._witness(solution)
 
-    def chart(self, order: tuple[int, ...]) -> Optional[MetricSpace]:
+    def chart(self, order: tuple[int, ...], words: Sequence[_Word]) -> MetricSpace:
         """The line-plus-apex witness of a core order that leaves at most
-        one vertex outside, or None when it does not re-induce h.
+        one vertex outside, from the word of that vertex's link as
+        :func:`_core_orders` yields it.
 
         The core sits at positions START * i on a line; the outside vertex,
-        if any, takes the distances of its link's word (see :func:`_word`).
-        A chart counts as one node and one solved leaf.
+        if any, takes the distances of its word (see :func:`_word`).  A
+        chart counts as one node and, checked by :meth:`_witness`, one
+        solved leaf.
         """
-        n, k = self.h.n, len(order)
-        dist: list[list[int | Fraction]] = [[0] * n for _ in range(n)]
-        for i, u in enumerate(order):
-            for j, v in enumerate(order):
-                dist[u][v] = START * abs(i - j)
-        triples = self.h.triples
-        for apex in set(range(n)).difference(order):
-            link = sum(
-                _pair_bit(i, j)
-                for j in range(k)
-                for i in range(j)
-                if sorted_triple(apex, order[i], order[j]) in triples
-            )
-            decoded = _word(k, link)
-            if decoded is None:
-                return None
-            signs, jpair = decoded
+        k = len(order)
+        solution = {(u, v): START * (j - i) for (i, u), (j, v) in itertools.combinations(enumerate(order), 2)}
+        apexes = sorted(set(range(self.h.n)).difference(order))
+        for apex, (signs, jpair) in zip(apexes, words):
             a = list(itertools.accumulate((START * s for s in signs), initial=0))
             # a_i + a_j - (p_j - p_i) is least at (0, k-1): 0 with J, else START
             shift = Fraction((0 if jpair else START) - a[0] - a[-1] + START * (k - 1), 2)
             for i, u in enumerate(order):
-                dist[apex][u] = dist[u][apex] = a[i] + shift
-        try:
-            witness = validate_metric([str(i) for i in range(n)], dist)
-        except ValueError:
-            return None
-        if hypergraph_of(witness) != self.h:
-            return None
+                solution[apex, u] = a[i] + shift
         self.nodes += 1
-        self.leaves_solved += 1
-        return witness
+        return self._witness(solution)
 
     def branch(
         self, keep: int, seed: Sequence[tuple[Triple, int]] = (), fact: Optional[tuple[Triple, int]] = None
@@ -533,10 +529,10 @@ def _explore(
             continue
         if core is None:
             witness = search.branch(0, fact=branch)
+        elif charted:
+            witness = search.chart(*branch)
         else:
-            witness = search.chart(branch) if charted else None
-            if witness is None:
-                witness = search.branch(0, seed=_linear_core_facts(branch))
+            witness = search.branch(0, seed=_linear_core_facts(branch[0]))
         if witness is not None:
             return index, witness, search.stats()
     return None, None, search.stats()

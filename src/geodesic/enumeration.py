@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .decider import decide_metric
-from .hypergraphs import Hypergraph3, Triple
+from .hypergraphs import Hypergraph3, Triple, _check_size
 
 CANONICAL_MAX_VERTICES = 8
 
@@ -151,6 +151,7 @@ class EnumerationResult:
 
 def enumerate_minimal_nonmetric(n: int) -> EnumerationResult:
     """All isomorphism classes on ``n`` vertices that are minimal non-metric."""
+    _check_size(n)
     if not 3 <= n <= 6:
         raise ValueError("enumeration supported for 3 <= n <= 6")
     start = time.monotonic()

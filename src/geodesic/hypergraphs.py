@@ -94,16 +94,19 @@ class Graph:
 
 
 def path_graph(n: int) -> Graph:
+    _check_size(n)
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
+    _check_size(n)
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> Graph:
+    _check_size(n)
     return Graph.from_edges(n, itertools.combinations(range(n), 2))
 
 

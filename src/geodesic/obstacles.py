@@ -19,6 +19,7 @@ from .constructions import path_based_metric
 from .decider import DecideOptions, Verdict, decide_metric
 from .hypergraphs import (
     Graph,
+    _check_size,
     based_hypergraph,
     complement,
     graph_equivalence,
@@ -104,6 +105,7 @@ def cycle_obstacle_restrictions(n: int) -> list[CycleRestrictionCheck]:
     positions, so each restriction is the path 0-1-...-(n-2), and the n
     records differ only in ``deleted_vertex``.
     """
+    _check_size(n)
     if n <= 4 or n % 2 != 0:
         raise ValueError("even n greater than 4 required")
     f = path_graph(n - 1)

@@ -148,7 +148,10 @@ def dumps(obj: dict, compact: bool = False) -> str:
 
 
 def loads(text: str) -> dict:
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
     return data

@@ -72,6 +72,9 @@ class TestDecideCommand:
             assert main(["decide", str(p)]) == code
 
 
+# Valid JSON nested deeper than the parser recurses.
+NESTED_JSON = "[" * 100_000 + "]" * 100_000
+
 # Each input error: the command line, with FILE standing for a path in a
 # fresh directory, and the text written there first (None: no file).
 INPUT_ERRORS = {
@@ -79,6 +82,7 @@ INPUT_ERRORS = {
     "analyze-malformed-json": (["analyze", "FILE"], "{not json"),
     "analyze-invalid-metric": (["analyze", "FILE"], dumps({"points": ["p", "q"], "dist": [["0", "1"], ["2", "0"]]})),
     "analyze-over-cap": (["analyze", "FILE"], dumps(equilateral_chart(MAX_CHART_POINTS + 1))),
+    "analyze-nested-json": (["analyze", "FILE"], NESTED_JSON),
     "decide-missing-file": (["decide", "FILE"], None),
     "decide-malformed-json": (["decide", "FILE"], "{not json"),
     "decide-invalid-hypergraph": (["decide", "FILE"], dumps({"n": 3, "triples": [[0, 1, 5]]})),
@@ -86,6 +90,7 @@ INPUT_ERRORS = {
     "decide-boolean-vertex": (["decide", "FILE"], dumps({"n": 4, "triples": [[True, 2, 3]]})),
     "decide-boolean-size": (["decide", "FILE"], dumps({"n": True, "triples": []})),
     "decide-negative-size": (["decide", "FILE"], dumps({"n": -1, "triples": []})),
+    "decide-nested-json": (["decide", "FILE"], NESTED_JSON),
     "obstacle-missing-file": (["obstacle", "FILE"], None),
     "obstacle-malformed-json": (["obstacle", "FILE"], "{not json"),
     "obstacle-invalid-graph": (["obstacle", "FILE"], dumps({"n": 3, "edges": [[0, 0]]})),
@@ -93,6 +98,7 @@ INPUT_ERRORS = {
     "obstacle-boolean-vertex": (["obstacle", "FILE"], dumps({"n": 4, "edges": [[True, 2]]})),
     "obstacle-boolean-size": (["obstacle", "FILE"], dumps({"n": True, "edges": []})),
     "obstacle-negative-size": (["obstacle", "FILE"], dumps({"n": -1, "edges": []})),
+    "obstacle-nested-json": (["obstacle", "FILE"], NESTED_JSON),
     "construct-over-cap": (["construct", "path", "--k", str(MAX_CHART_POINTS)], None),
     "enumerate-out-of-range": (["enumerate", "9", "--out", "FILE"], None),
     "enumerate-out-is-a-file": (["enumerate", "3", "--out", "FILE"], ""),

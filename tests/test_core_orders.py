@@ -3,9 +3,9 @@
 ``_core_automorphisms``, ``_word`` and ``_core_orders`` decide which core
 orders the search skips; one wrong map or one wrongly rejected link there
 would skip an order that holds the only witness, and one wrongly decoded
-word would give a chart that fails its check.  Each test checks them
-against a reference built here by brute force (every step word, every
-permutation), or by the dihedral group of a cycle.
+word would give a chart that fails its check (an engine bug).  Each test
+checks them against a reference built here by brute force (every step
+word, every permutation), or by the dihedral group of a cycle.
 """
 
 import itertools
@@ -128,23 +128,17 @@ def _mask(pairs) -> int:
     return sum(_pair_bit(i, j) for i, j in pairs)
 
 
+def _link(h: Hypergraph3, order: tuple[int, ...], x: int) -> frozenset:
+    """The position pairs (i, j) of ``order`` with {x, order[i], order[j]} a hyperedge."""
+    pairs = itertools.combinations(range(len(order)), 2)
+    return frozenset((i, j) for i, j in pairs if sorted_triple(x, order[i], order[j]) in h.triples)
+
+
 def _word_filtered(h: Hypergraph3, core: tuple[int, ...], orders: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """The whole orders under which the link of every outside vertex is a word pattern."""
     patterns = set(_word_patterns(len(core)).values())
     outside = [x for x in range(h.n) if x not in core]
-    return [
-        order
-        for order in orders
-        if all(
-            frozenset(
-                (i, j)
-                for i, j in itertools.combinations(range(len(order)), 2)
-                if sorted_triple(x, order[i], order[j]) in h.triples
-            )
-            in patterns
-            for x in outside
-        )
-    ]
+    return [order for order in orders if all(_link(h, order, x) in patterns for x in outside)]
 
 
 def _core(h: Hypergraph3) -> tuple[int, ...]:
@@ -188,7 +182,8 @@ def test_complete_seven_vertex_core_exceeds_cap(h):
     assert len(core) == 7
     assert _core_automorphisms(h, core, AUTOMORPHISM_CAP) is None
     # the fallback reduces by reversal only
-    assert list(_core_orders(h, core)) == [p for p in itertools.permutations(core) if p[0] < p[-1]]
+    orders = [order for order, _ in _core_orders(h, core)]
+    assert orders == [p for p in itertools.permutations(core) if p[0] < p[-1]]
 
 
 def test_automorphisms_wait_until_the_walk_leaves_the_identity_order(monkeypatch):
@@ -213,14 +208,28 @@ def test_automorphisms_wait_until_the_walk_leaves_the_identity_order(monkeypatch
 def test_core_orders_are_orbit_leaders(h):
     core = _core(h)
     leaders = _orbit_leaders(core, _brute_automorphisms(h, core))
-    assert list(_core_orders(h, core)) == _word_filtered(h, core, leaders)
+    assert [order for order, _ in _core_orders(h, core)] == _word_filtered(h, core, leaders)
 
 
 @pytest.mark.parametrize("n", [7, 8])
 def test_cycle_core_orders_are_dihedral_orbit_leaders(n):
     h = based_hypergraph(cycle_graph(n))
     core = _core(h)
-    assert list(_core_orders(h, core)) == _word_filtered(h, core, _orbit_leaders(core, _dihedral(n)))
+    orders = [order for order, _ in _core_orders(h, core)]
+    assert orders == _word_filtered(h, core, _orbit_leaders(core, _dihedral(n)))
+
+
+@pytest.mark.parametrize("h", [*UNCAPPED.values(), *CAPPED.values()], ids=[*UNCAPPED, *CAPPED])
+def test_core_orders_yield_the_word_of_every_link(h):
+    # The chart places the outside vertex by these words, so each must be
+    # the word of that vertex's link, built here from the triples, at the
+    # order it comes with.
+    core = _core(h)
+    outside = [x for x in range(h.n) if x not in core]
+    for order, words in _core_orders(h, core):
+        links = [_link(h, order, x) for x in outside]
+        assert words == tuple(_word(len(order), _mask(link)) for link in links), order
+        assert [_pattern(signs, jpair is not None) for signs, jpair in words] == links, order
 
 
 def test_core_orders_memory_is_bounded():

@@ -158,17 +158,17 @@ def test_paper_witness_pinned(n, dist):
     assert [list(row) for row in witness.dist] == dist
 
 
-def test_failed_chart_falls_back_to_the_seeded_order(monkeypatch):
-    # With the line collapsed the chart fails its check, and the order is
-    # seeded and solved as a leaf LP instead, to the same witness.
+def test_failed_chart_is_an_engine_bug(monkeypatch):
+    # With the line collapsed the chart is no metric.  That is an engine
+    # bug, not an invalid input, so it is not a ValueError (which the CLI
+    # would report as an input error), and no other branch hides it.
     monkeypatch.setattr(decider, "START", 0)
     clear_decision_cache()
     try:
-        verdict = decide_metric(based_hypergraph(cycle_graph(7)))
+        with pytest.raises(AssertionError, match="engine bug"):
+            decide_metric(based_hypergraph(cycle_graph(7)))
     finally:
         clear_decision_cache()
-    assert verdict.stats == SearchStats(13, {"non-hyperedge": 5}, leaves_solved=1)
-    assert [list(row) for row in verdict.witness.dist] == WITNESS_C7
 
 
 @functools.cache

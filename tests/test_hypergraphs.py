@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from geodesic.constructions import odd_cycle_metric, path_based_metric
+from geodesic.enumeration import enumerate_minimal_nonmetric
 from geodesic.hypergraphs import (
     Graph,
     Hypergraph3,
@@ -15,6 +17,7 @@ from geodesic.hypergraphs import (
     induced_subhypergraph,
     path_graph,
 )
+from geodesic.obstacles import cycle_obstacle_restrictions
 
 
 def graphs_isomorphic(g1: Graph, g2: Graph) -> bool:
@@ -242,7 +245,9 @@ def test_normalized_input_is_kept_as_given():
     assert Hypergraph3(4, fs).triples is fs
 
 
-NOT_SIZES = [-1, 2.5, True, "3", None]
+# 6.0 is in range for every builder below, so only a type check stops it
+# before range() or arithmetic on it.
+NOT_SIZES = [-1, 2.5, 6.0, True, "3", None]
 
 
 @pytest.mark.parametrize("n", NOT_SIZES, ids=repr)
@@ -254,8 +259,28 @@ NOT_SIZES = [-1, 2.5, True, "3", None]
         lambda n: Hypergraph3(n, frozenset()),
         lambda n: Hypergraph3.from_triples(n, []),
         lambda n: PairEquivalence(n, frozenset()),
+        path_graph,
+        cycle_graph,
+        complete_graph,
+        odd_cycle_metric,
+        path_based_metric,
+        cycle_obstacle_restrictions,
+        enumerate_minimal_nonmetric,
     ],
-    ids=["graph", "from_edges", "hypergraph", "from_triples", "pair-equivalence"],
+    ids=[
+        "graph",
+        "from_edges",
+        "hypergraph",
+        "from_triples",
+        "pair-equivalence",
+        "path_graph",
+        "cycle_graph",
+        "complete_graph",
+        "odd_cycle_metric",
+        "path_based_metric",
+        "cycle_obstacle_restrictions",
+        "enumerate_minimal_nonmetric",
+    ],
 )
 def test_size_must_be_a_nonnegative_integer(build, n):
     with pytest.raises(ValueError, match="nonnegative integer"):

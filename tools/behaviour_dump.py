@@ -12,7 +12,8 @@ without writing there:
     python3 tools/behaviour_dump.py [--out dump.jsonl]
 
 ``--out`` also writes the full dump, one JSON line per input, so two
-dumps can be compared line by line.  A full run takes a few minutes.
+dumps can be compared line by line.  A full run takes about 30 s on a
+2-core machine with Python 3.11.
 
 Inputs: the ``random-n7`` pool and the ``enum_n6`` classes of
 ``bench/data``; based C4-C13; the based complements of C5-C9; based
