@@ -37,9 +37,10 @@ EXIT_NONMETRIC = 10
 # (graph vertices + 1) that ``obstacle`` builds.  Every leaf LP has
 # C(n, 2) variables and up to 3 * C(n, 3) rows, and a based hypergraph
 # lists C(n, 3) triples, so a tiny file naming a huge ``n`` would
-# otherwise exhaust time or memory.  The largest claim input, based C10
-# on 11 vertices, is decided in about 0.035 s, and based C14 on 15 in
-# about 3.2 s (three runs each); seeded shortest-path metrics on 12-16
+# otherwise exhaust time or memory.  Based C15 on 16 vertices is decided
+# in about 11 ms and its complement in about 61 ms (one run each; the
+# claims decide based C16 and C17 through the API, past this cap, in
+# about 15 ms each); seeded shortest-path metrics on 12-16
 # vertices (seeds 0-2) took up to 5.4 s, and a seeded random 10-vertex
 # input with 28 triples 7-8 s (ROADMAP item 16).  All on a 2-core
 # machine with Python 3.11, so the cap alone does not bound the time.

@@ -13,13 +13,16 @@ the automorphisms are found from each outside vertex's link on the core,
 once the walk first leaves the identity order) instead of orienting core
 triples one at a time.  Orders grow by prefix, and a prefix under which
 some outside vertex's link is no step-word pattern is dropped (it has no
-realization).  With at most one vertex outside the core, an order that
-survives is realized directly: the core on a line, the outside vertex at
-the distances its link's word gives (``_Search.chart``), so no LP is
-solved.  Otherwise the order is seeded whole.  Every other branch is
-taken by one step, ``_Search.branch``.  A chart and a solved leaf pass
-the same check (``_Search._witness``); one that fails it is an engine
-bug and raises ``AssertionError``.
+realization), and so is one under which some link pair with a core
+vertex not yet placed can no longer close, wherever that vertex goes
+(every run of a word is an interval of positions).  With at most one
+vertex outside the core, an order that survives is realized directly:
+the core on a line, the outside vertex at the distances its link's word
+gives (``_Search.chart``), so no LP is solved.  Otherwise the order is
+seeded whole.  Every other branch is taken by one step,
+``_Search.branch``.  A chart and a solved leaf pass the same check
+(``_Search._witness``); one that fails it is an engine bug and raises
+``AssertionError``.
 """
 
 from __future__ import annotations
@@ -306,6 +309,30 @@ def _word(k: int, link: int) -> Optional[_Word]:
     return None
 
 
+def _closable(k: int, link: int, partners: Sequence[int]) -> bool:
+    """Whether every link pair still pending on position k's prefix can
+    close: ``link`` is an outside vertex's link on positions 0..k, and
+    each mask in ``partners`` the prefix positions of one unplaced core
+    vertex's partners in it.  See :func:`_core_orders` for the rule."""
+    clique = _cliques(k + 1)
+    head = 1  # the J bound plus one: 0..i is a clique of link for every i < head
+    while head <= k and not clique[0][head] & ~link:
+        head += 1
+    tail = k  # the R bound: i..k is a clique of link for every i >= tail
+    while tail and not clique[tail - 1][k] & ~link:
+        tail -= 1
+    whole = (1 << (k + 1)) - 1
+    for mask in partners:
+        if mask:
+            # 0..i in mask for every i below ``ones``, i..k for every i >= ``top``
+            ones = (~mask & (mask + 1)).bit_length() - 1
+            top = (~mask & whole).bit_length()
+            low, high = min(head, ones), max(tail, top)
+            if low < high and mask & ((1 << high) - (1 << low)):
+                return False
+    return True
+
+
 def _core_orders(h: Hypergraph3, core: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[_Word, ...]]]:
     """Linear orders of the core that may have a realization, one per
     symmetry class, lazily, each with the word (:func:`_word`) of every
@@ -328,6 +355,29 @@ def _core_orders(h: Hypergraph3, core: tuple[int, ...]) -> Iterator[tuple[tuple[
     invariant under the automorphisms and reversal, so it removes whole
     orbits.  The words of a whole order were decoded by the test of its
     last vertex and are yielded from the walk's cache.
+
+    A vertex that passes is appended only if every link can still close
+    (:func:`_closable`, a consecutive-ones argument as in Booth and
+    Lueker's PQ-trees).  With the prefix on positions 0..k, take an
+    outside link x and an unplaced core vertex u, and let P be the
+    positions of u's partners in x.  Wherever u goes, at some j > k,
+    every i in P needs (i, j) in R(w) or J(w) of x's whole word w:
+
+    - in R, i..j is one run, so every pair inside it is in the link:
+      i..k all lie in P, and every pair inside i..k is in x;
+    - in J, i <= L, so 0..i lies in the initial - run, whose pairs are
+      in the link, and J joins all of 0..L to j: 0..i all lie in P, and
+      every pair inside 0..i is in x.
+
+    Both hold for every later i (R) or every earlier i (J) once they
+    hold for one, so with t the least i of the first and h the greatest
+    of the second the test is P within [0..h] and [t..k].  Each case is
+    necessary in every completion whose links are word patterns, so a
+    dropped prefix starts no order that the word test keeps, and the
+    walk yields what it would without the look-ahead, in the same order.
+    Without it, every proper prefix of a based even cycle's link is a
+    pattern and only the closing position fails, by parity, so the walk
+    would grow about 10x per two more vertices.
     """
     near = _outside_links(h, core)
     # rows[x][u]: the prefix positions of u's partners in link x, so that
@@ -369,8 +419,10 @@ def _core_orders(h: Hypergraph3, core: tuple[int, ...]) -> Iterator[tuple[tuple[
                 for row, partners in zip(rows, near):
                     for u in partners[v]:
                         row[u] |= 1 << k
-                below = None if stabilizer is None else [g for g in stabilizer if g[v] == v]
-                yield from grow(prefix + (v,), below, grown)
+                rest = [u for u in core if u != v and u not in prefix]
+                if all(_closable(k, link, [row[u] for u in rest]) for link, row in zip(grown, rows)):
+                    below = None if stabilizer is None else [g for g in stabilizer if g[v] == v]
+                    yield from grow(prefix + (v,), below, grown)
                 for row, partners in zip(rows, near):
                     for u in partners[v]:
                         row[u] ^= 1 << k

@@ -8,6 +8,7 @@ checks them against a reference built here by brute force (every step
 word, every permutation), or by the dihedral group of a cycle.
 """
 
+import functools
 import itertools
 import random
 import tracemalloc
@@ -27,7 +28,16 @@ from geodesic.decider import (
     decide_metric,
     find_complete_core,
 )
-from geodesic.hypergraphs import Hypergraph3, based_hypergraph, complement, cycle_graph, path_graph, sorted_triple
+from geodesic.enumeration import canonical_form
+from geodesic.hypergraphs import (
+    Graph,
+    Hypergraph3,
+    based_hypergraph,
+    complement,
+    cycle_graph,
+    path_graph,
+    sorted_triple,
+)
 
 
 def _planted(seed: int, k: int, extra: int, density: float) -> Hypergraph3:
@@ -40,6 +50,21 @@ def _planted(seed: int, k: int, extra: int, density: float) -> Hypergraph3:
         t for t in itertools.combinations(range(n), 3) if set(t) <= core or rng.random() < density
     ]
     return Hypergraph3.from_triples(n, triples)
+
+
+@functools.cache
+def _graph_classes(n: int) -> tuple[Graph, ...]:
+    """One graph per isomorphism class on n vertices, deduplicated by the
+    canonical form of its based hypergraph: every graph is one on n - 1
+    vertices with vertex n - 1 joined to some of them."""
+    smaller = _graph_classes(n - 1) if n > 1 else (Graph(0, frozenset()),)
+    classes = {}
+    for g in smaller:
+        for joined in range(1 << (n - 1)):
+            edges = g.edges | {(v, n - 1) for v in range(n - 1) if joined >> v & 1}
+            graph = Graph(n, frozenset(edges))
+            classes.setdefault(canonical_form(based_hypergraph(graph)), graph)
+    return tuple(classes.values())
 
 
 CYCLES = {
@@ -67,6 +92,17 @@ SMALL = {
     **{name: h for name, (n, h) in CYCLES.items() if n <= 7},
 }
 UNCAPPED = {**SMALL, **{name: h for name, (n, h) in CYCLES.items() if n == 8}}
+# Based hypergraphs, one outside vertex: every 5-vertex graph class and
+# its complement, and a seeded sample of the 6-vertex classes.
+BASED = {
+    f"based5-{i}{'-bar' if co else ''}": based_hypergraph(complement(g) if co else g)
+    for i, g in enumerate(_graph_classes(5))
+    for co in (False, True)
+}
+BASED.update(
+    (f"based6-{i}", based_hypergraph(_graph_classes(6)[i]))
+    for i in sorted(random.Random(6).sample(range(len(_graph_classes(6))), 30))
+)
 
 
 def _relabel(h: Hypergraph3, g: dict[int, int]) -> frozenset:
@@ -204,8 +240,11 @@ def test_automorphisms_wait_until_the_walk_leaves_the_identity_order(monkeypatch
         clear_decision_cache()
 
 
-@pytest.mark.parametrize("h", SMALL.values(), ids=SMALL.keys())
+@pytest.mark.parametrize("h", [*SMALL.values(), *BASED.values()], ids=[*SMALL, *BASED])
 def test_core_orders_are_orbit_leaders(h):
+    # The walk drops a prefix when a link stops being a word pattern or
+    # when a pending link pair can no longer close; either, too strict,
+    # would drop an order that the whole-order filter keeps.
     core = _core(h)
     leaders = _orbit_leaders(core, _brute_automorphisms(h, core))
     assert [order for order, _ in _core_orders(h, core)] == _word_filtered(h, core, leaders)
@@ -217,6 +256,23 @@ def test_cycle_core_orders_are_dihedral_orbit_leaders(n):
     core = _core(h)
     orders = [order for order, _ in _core_orders(h, core)]
     assert orders == _word_filtered(h, core, _orbit_leaders(core, _dihedral(n)))
+
+
+def test_cycle_walk_decodes_few_words(monkeypatch):
+    # Every proper prefix of a based even cycle's link is a word pattern,
+    # and only the closing position fails, by parity, so a walk without
+    # the look-ahead visits a number of prefixes exponential in n.  The
+    # walk's cache wraps the module's ``_word`` at call time, so the
+    # distinct decodes it asks for measure the walk.
+    decoded = set()
+    decode = decider._word
+    monkeypatch.setattr(decider, "_word", lambda k, link: decoded.add((k, link)) or decode(k, link))
+    for n in range(6, 18):
+        decoded.clear()
+        h = based_hypergraph(cycle_graph(n))
+        orders = [order for order, _ in _core_orders(h, _core(h))]
+        assert len(orders) == n % 2, n
+        assert len(decoded) <= 4 * n, (n, len(decoded))
 
 
 @pytest.mark.parametrize("h", [*UNCAPPED.values(), *CAPPED.values()], ids=[*UNCAPPED, *CAPPED])

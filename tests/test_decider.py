@@ -1,4 +1,3 @@
-import functools
 import itertools
 import random
 
@@ -15,9 +14,7 @@ from geodesic.decider import (
     find_complete_core,
     is_minimal_nonmetric,
 )
-from geodesic.enumeration import canonical_form
 from geodesic.hypergraphs import (
-    Graph,
     Hypergraph3,
     based_hypergraph,
     complement,
@@ -27,7 +24,7 @@ from geodesic.hypergraphs import (
 )
 from geodesic.metric import hypergraph_of
 from geodesic.suites import random_shortest_path_metric
-from test_core_orders import _planted
+from test_core_orders import _graph_classes, _planted
 
 # Verified non-metric by full naive enumeration (all 3^8 = 6561 total
 # orientations infeasible); frozen here as a regression anchor.
@@ -169,21 +166,6 @@ def test_failed_chart_is_an_engine_bug(monkeypatch):
             decide_metric(based_hypergraph(cycle_graph(7)))
     finally:
         clear_decision_cache()
-
-
-@functools.cache
-def _graph_classes(n: int) -> tuple[Graph, ...]:
-    """One graph per isomorphism class on n vertices, deduplicated by the
-    canonical form of its based hypergraph: every graph is one on n - 1
-    vertices with vertex n - 1 joined to some of them."""
-    smaller = _graph_classes(n - 1) if n > 1 else (Graph(0, frozenset()),)
-    classes = {}
-    for g in smaller:
-        for joined in range(1 << (n - 1)):
-            edges = g.edges | {(v, n - 1) for v in range(n - 1) if joined >> v & 1}
-            graph = Graph(n, frozenset(edges))
-            classes.setdefault(canonical_form(based_hypergraph(graph)), graph)
-    return tuple(classes.values())
 
 
 class TestBasedCensus:
