@@ -49,8 +49,8 @@ MAX_DECIDE_VERTICES = 16
 # Most points in a ``construct`` chart (``odd-cycle --s N`` has 2N + 2,
 # ``path --k N`` has N + 1) and in an ``analyze`` input.  Both commands
 # take time about cubic in the size (``path --k 40`` takes about 0.3 s,
-# ``--k 80`` over 2 s; ``analyze`` on an equilateral chart about 1 s at
-# 41 points, 8 s at 100 and 75 s at 200, on a 2-core machine with
+# ``--k 80`` over 2 s; ``analyze`` on an equilateral chart about 0.03 s
+# at 41 points, 0.5 s at 100 and 2.7 s at 200, on a 2-core machine with
 # Python 3.11), so a large chart would otherwise hang the command.
 MAX_CHART_POINTS = 41
 

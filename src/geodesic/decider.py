@@ -149,8 +149,11 @@ def _core_automorphisms(h: Hypergraph3, core: tuple[int, ...], cap: int) -> Opti
     Backtracking maps a core vertex only to one of the same colour (its
     degree in every link and the outside pairs it completes: the
     vertex-invariant pruning of McKay and Piperno) whose link pairs with
-    the vertices mapped so far agree.  None when more than ``cap`` maps
-    exist (callers then reduce by reversal only, which is always sound).
+    the vertices mapped so far agree.  Every link is a bitmask of core
+    vertices, all of them packed in one int, so one comparison tests
+    v -> w: in every link, the image of v's partners mapped so far must
+    be exactly w's partners among their images.  None when more than ``cap`` maps exist (callers then reduce by
+    reversal only, which is always sound).
     """
     links = _outside_links(h, core)
     pairs: dict[int, set[tuple[int, ...]]] = {c: set() for c in core}
@@ -160,26 +163,36 @@ def _core_automorphisms(h: Hypergraph3, core: tuple[int, ...], cap: int) -> Opti
             pairs[inside[0]].add(tuple(v for v in t if v != inside[0]))
     colour = {c: (tuple(len(link[c]) for link in links), frozenset(pairs[c])) for c in core}
     same = {v: [w for w in core if colour[w] == colour[v]] for v in core}
+    # link l takes bits l*n to l*n + n - 1; spread times a mask of core
+    # vertices repeats it in every link's bits
+    n = h.n
+    spread = sum(1 << (l * n) for l in range(len(links)))
+    masks = {c: sum(1 << (l * n + d) for l, link in enumerate(links) for d in link[c]) for c in core}
+    # v's partners among the core vertices before it (the ones mapped
+    # when v is), each with a bit at the start of every link it is one in
+    earlier: dict[int, list[tuple[int, int]]] = {}
+    for k, v in enumerate(core):
+        blocks = {d: sum(1 << (l * n) for l, link in enumerate(links) if d in link[v]) for d in core[:k]}
+        earlier[v] = [(d, b) for d, b in blocks.items() if b]
     found: list[dict[int, int]] = []
     mapping: dict[int, int] = {}
-    used: set[int] = set()
 
-    def extend(k: int) -> bool:
+    def extend(k: int, used: int) -> bool:
         if k == len(core):
             found.append(dict(mapping))
             return len(found) <= cap
         v = core[k]
+        # the images are distinct bits, so their sum is their union
+        image = sum(blocks << mapping[d] for d, blocks in earlier[v])
+        shown = used * spread
         for w in same[v]:
-            if w not in used and all((d in link[v]) == (mapping[d] in link[w]) for link in links for d in mapping):
+            if not used >> w & 1 and image == masks[w] & shown:
                 mapping[v] = w
-                used.add(w)
-                if not extend(k + 1):
+                if not extend(k + 1, used | 1 << w):
                     return False
-                del mapping[v]
-                used.discard(w)
         return True
 
-    return found if extend(0) else None
+    return found if extend(0, 0) else None
 
 
 @lru_cache(maxsize=None)

@@ -34,6 +34,12 @@ more such row.  The denominators are positive, so they scale reduced
 costs without reordering them and cancel in the cross-multiplied ratio
 test: every entering and leaving choice, and so the vertex found, is the
 one the same pivots pick on the dense tableau.
+
+The witness is checked against every row and bound of the original
+system on integer numerators: ``x`` times the LCM ``L`` of the solver's
+denominators, so a strict row must reach ``L`` and a bound
+``LOWER_BOUND * L``.  Scaling by a positive ``L`` keeps every comparison,
+and the returned distances are the ``Fraction``s ``x``.
 """
 
 from __future__ import annotations
@@ -146,19 +152,23 @@ def solve_exact_feasibility(system: FeasibilitySystem) -> Optional[dict[Pair, Fr
     y = solve_nonneg_feasibility(nv, eq_rows, ineq_rows)
     if y is None:
         return None
-    witness = {p: START + y[i] for p, i in var_index.items()}
-    _verify_witness(system, witness)
-    return witness
+    # x = START + y over the LCM of y's denominators, as integer numerators
+    scale = math.lcm(*(v.denominator for v in y))
+    scaled = {p: START * scale + y[i].numerator * (scale // y[i].denominator) for p, i in var_index.items()}
+    _verify_witness(system, scaled, scale)
+    return {p: Fraction(x, scale) for p, x in scaled.items()}
 
 
-def _verify_witness(system: FeasibilitySystem, witness: dict[Pair, Fraction]) -> None:
+def _verify_witness(system: FeasibilitySystem, scaled: dict[Pair, int], scale: int) -> None:
+    """Check every row and bound of ``system`` on the witness ``scaled / scale``
+    (``scale`` positive), comparing integer numerators."""
     for a, b, c in system.equalities:
-        if witness[a] + witness[b] - witness[c] != 0:
+        if scaled[a] + scaled[b] - scaled[c] != 0:
             raise AssertionError("solver returned a witness violating an equality")
     for a, b, c in system.inequalities:
-        if witness[a] + witness[b] - witness[c] < 1:
+        if scaled[a] + scaled[b] - scaled[c] < scale:
             raise AssertionError("solver returned a witness violating an inequality")
-    if any(v < LOWER_BOUND for v in witness.values()):
+    if any(v < LOWER_BOUND * scale for v in scaled.values()):
         raise AssertionError("solver returned a witness below the lower bound")
 
 

@@ -4,13 +4,21 @@ A metric space here is a labeled point set with a symmetric positive
 rational distance matrix.  Everything downstream (betweenness, the
 collinearity hypergraph, lines, line partitions) is an equality test on
 distances, so all arithmetic is exact: no floats anywhere.
+
+Every such test, and every axiom check, compares sums of entries, and
+scaling all entries by one positive common denominator changes none of
+those comparisons.  So they run on integer numerators: the chart times
+the LCM of its denominators (``MetricSpace._scaled``).  Distances, and
+the details of a violation, stay ``Fraction``s.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .hypergraphs import Hypergraph3, PairEquivalence
@@ -47,6 +55,12 @@ class MetricSpace:
 
     points: tuple[str, ...]
     dist: tuple[tuple[Fraction, ...], ...]
+
+    @cached_property
+    def _scaled(self) -> tuple[tuple[int, ...], ...]:
+        """``dist`` on integer numerators (:func:`_integer_image`), computed
+        once; not a field, so it stays out of ``==``, ``repr`` and hashing."""
+        return _integer_image(self.dist)
 
     def index(self, label: str) -> int:
         if label not in self.points:
@@ -91,28 +105,54 @@ class Betweenness:
         return f"[{self.u} {self.v} {self.w}]"
 
 
+def _integer_image(dist: Sequence[Sequence[Fraction]]) -> tuple[tuple[int, ...], ...]:
+    """The entries (ints or Fractions) times the LCM of their denominators:
+    integers that compare, sum for sum, as the entries do."""
+    scale = math.lcm(*(x.denominator for row in dist for x in row))
+    return tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in dist)
+
+
 def find_axiom_violations(points: Sequence[str], dist: Sequence[Sequence[Fraction]]) -> list[AxiomViolation]:
-    """All metric-axiom failures of a structurally well-formed chart."""
+    """All metric-axiom failures of a structurally well-formed chart of
+    ints and Fractions."""
+    return _violations(points, dist, _integer_image(dist))
+
+
+def _violations(
+    points: Sequence[str], dist: Sequence[Sequence[Fraction]], scaled: Sequence[Sequence[int]]
+) -> list[AxiomViolation]:
+    """:func:`find_axiom_violations`, comparing ``scaled``, the chart's
+    integer image; the details print the entries of ``dist``."""
     n = len(points)
     out: list[AxiomViolation] = []
     for i in range(n):
-        if dist[i][i] != 0:
+        if scaled[i][i] != 0:
             out.append(AxiomViolation("nonzero-diagonal", (points[i],), f"d={dist[i][i]}"))
     for i in range(n):
         for j in range(i + 1, n):
-            if dist[i][j] != dist[j][i]:
+            if scaled[i][j] != scaled[j][i]:
                 out.append(AxiomViolation("asymmetry", (points[i], points[j])))
-            if dist[i][j] <= 0:
+            if scaled[i][j] <= 0:
                 out.append(AxiomViolation("nonpositive", (points[i], points[j]), f"d={dist[i][j]}"))
-    for i, j, k in itertools.permutations(range(n), 3):
-        if i < k:  # d(i,j)+d(j,k) >= d(i,k); symmetric in i,k
-            if dist[i][j] + dist[j][k] < dist[i][k]:
-                out.append(AxiomViolation("triangle", (points[i], points[j], points[k])))
+    # d(i,j) + d(j,k) >= d(i,k), symmetric in i, k: every i < k and j
+    # apart from both, in the order of itertools.permutations
+    for i in range(n):
+        row_i = scaled[i]
+        for j in range(n):
+            if j == i:
+                continue
+            d_ij, row_j = row_i[j], scaled[j]
+            for k in range(i + 1, n):
+                if k != j and d_ij + row_j[k] < row_i[k]:
+                    out.append(AxiomViolation("triangle", (points[i], points[j], points[k])))
     return out
 
 
 def _exact(x: int | str | Fraction) -> Fraction:
-    """An int, Fraction or rational-string distance entry as a Fraction."""
+    """An int, Fraction or rational-string distance entry as a Fraction;
+    a Fraction is returned as it is."""
+    if isinstance(x, Fraction):
+        return x
     if not isinstance(x, (bool, float)):
         try:
             return Fraction(x)
@@ -136,10 +176,13 @@ def validate_metric(points: Sequence[str], dist: Sequence[Sequence[int | str | F
     if len(dist) != len(labels) or any(len(row) != len(labels) for row in dist):
         raise ValueError("distance matrix shape does not match point count")
     rows = tuple(tuple(_exact(x) for x in row) for row in dist)
-    violations = find_axiom_violations(labels, rows)
+    scaled = _integer_image(rows)
+    violations = _violations(labels, rows, scaled)
     if violations:
         raise MetricValidationError(violations)
-    return MetricSpace(labels, rows)
+    space = MetricSpace(labels, rows)
+    vars(space)["_scaled"] = scaled  # seed the cached property with the image just built
+    return space
 
 
 def middle(dist: Sequence[Sequence[Fraction]], i: int, j: int, k: int) -> Optional[int]:
@@ -148,6 +191,7 @@ def middle(dist: Sequence[Sequence[Fraction]], i: int, j: int, k: int) -> Option
     v is between u and w when d(u,v) + d(v,w) = d(u,w).  At most one of
     the three can be the middle: two simultaneous tight triangles on one
     triple would force a zero distance.  None when no middle exists.
+    Works on any exactly comparable entries, a chart or its integer image.
     """
     dij, dik, djk = dist[i][j], dist[i][k], dist[j][k]
     if dij + djk == dik:
@@ -162,8 +206,9 @@ def middle(dist: Sequence[Sequence[Fraction]], i: int, j: int, k: int) -> Option
 def betweenness_triples(m: MetricSpace) -> frozenset[Betweenness]:
     """All betweenness facts of the space, canonicalized."""
     facts: list[Betweenness] = []
+    scaled = m._scaled
     for t in itertools.combinations(range(len(m.points)), 3):
-        v = middle(m.dist, *t)
+        v = middle(scaled, *t)
         if v is not None:
             u, w = (x for x in t if x != v)
             facts.append(Betweenness(m.points[u], m.points[v], m.points[w]))
@@ -175,8 +220,8 @@ def hypergraph_of(m: MetricSpace) -> Hypergraph3:
 
     Vertices are point positions in ``m.points``.
     """
-    n = len(m.points)
-    triples = frozenset(t for t in itertools.combinations(range(n), 3) if middle(m.dist, *t) is not None)
+    n, scaled = len(m.points), m._scaled
+    triples = frozenset(t for t in itertools.combinations(range(n), 3) if middle(scaled, *t) is not None)
     return Hypergraph3(n, triples)
 
 
@@ -186,8 +231,9 @@ def line(m: MetricSpace, p: str, q: str) -> frozenset[str]:
         raise ValueError("a line needs two distinct points")
     i, j = m.index(p), m.index(q)
     members = {p, q}
+    scaled = m._scaled
     for k, z in enumerate(m.points):
-        if k not in (i, j) and middle(m.dist, i, j, k) is not None:
+        if k not in (i, j) and middle(scaled, i, j, k) is not None:
             members.add(z)
     return frozenset(members)
 
@@ -236,8 +282,9 @@ def recover_linear_order(m: MetricSpace, subset: Iterable[str]) -> Optional[list
     """
     labels = sorted(set(subset))
     at = {p: m.index(p) for p in labels}
+    scaled = m._scaled
     for a, b, c in itertools.combinations(labels, 3):
-        if middle(m.dist, at[a], at[b], at[c]) is None:
+        if middle(scaled, at[a], at[b], at[c]) is None:
             raise ValueError(f"triple {{{a},{b},{c}}} of the subset is not collinear")
 
     if len(labels) <= 2:
@@ -245,12 +292,12 @@ def recover_linear_order(m: MetricSpace, subset: Iterable[str]) -> Optional[list
 
     # diametral pair
     best = max(
-        itertools.combinations(labels, 2), key=lambda pq: (m.d(pq[0], pq[1]), pq)
+        itertools.combinations(labels, 2), key=lambda pq: (scaled[at[pq[0]]][at[pq[1]]], pq)
     )
-    start = best[0]
-    order = sorted(labels, key=lambda p: (m.d(start, p), p))
+    start = at[best[0]]
+    order = sorted(labels, key=lambda p: (scaled[start][at[p]], p))
     ok = all(
-        middle(m.dist, at[a], at[b], at[c]) == at[b]
+        middle(scaled, at[a], at[b], at[c]) == at[b]
         for a, b, c in itertools.combinations(order, 3)
     )
     return order if ok else None

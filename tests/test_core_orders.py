@@ -240,6 +240,68 @@ def test_automorphisms_wait_until_the_walk_leaves_the_identity_order(monkeypatch
         clear_decision_cache()
 
 
+def _elementwise_automorphisms(h, core, cap):
+    """The element-wise reference for ``_core_automorphisms``: the same
+    colours and backtracking order, with a link kept as a set per core
+    vertex and v -> w tested against every vertex mapped so far."""
+    links = decider._outside_links(h, core)
+    pairs = {c: set() for c in core}
+    for t in h.triples:
+        inside = [v for v in t if v in pairs]
+        if len(inside) == 1:
+            pairs[inside[0]].add(tuple(v for v in t if v != inside[0]))
+    colour = {c: (tuple(len(link[c]) for link in links), frozenset(pairs[c])) for c in core}
+    same = {v: [w for w in core if colour[w] == colour[v]] for v in core}
+    found, mapping, used = [], {}, set()
+
+    def extend(k):
+        if k == len(core):
+            found.append(dict(mapping))
+            return len(found) <= cap
+        v = core[k]
+        for w in same[v]:
+            if w not in used and all((d in link[v]) == (mapping[d] in link[w]) for link in links for d in mapping):
+                mapping[v] = w
+                used.add(w)
+                if not extend(k + 1):
+                    return False
+                del mapping[v]
+                used.discard(w)
+        return True
+
+    return found if extend(0) else None
+
+
+def _planted_with_cores() -> dict[str, Hypergraph3]:
+    """Seeded planted inputs, 0-3 outside vertices, whose greedy core is found."""
+    found = {}
+    for seed, k, extra, density in itertools.product(range(3, 11), (5, 6, 7), range(4), (0.0, 0.1, 0.3, 0.5)):
+        h = _planted(seed, k, extra, density)
+        if find_complete_core(h) is not None:
+            found[f"planted-s{seed}-k{k}-x{extra}-d{density}"] = h
+    return found
+
+
+IDENTITY_INPUTS = {"uncapped": UNCAPPED, "capped": CAPPED, "planted": _planted_with_cores()}
+
+
+@pytest.mark.parametrize("cap", [AUTOMORPHISM_CAP, 3])
+@pytest.mark.parametrize("group", IDENTITY_INPUTS)
+def test_bitmask_automorphisms_match_the_elementwise_reference(group, cap):
+    # The same maps in the same order, key order included, or both None;
+    # the planted group meets both results at either cap.
+    results = set()
+    for name, h in IDENTITY_INPUTS[group].items():
+        core = _core(h)
+        autos, expected = _core_automorphisms(h, core, cap), _elementwise_automorphisms(h, core, cap)
+        assert (autos is None) == (expected is None), name
+        if expected is not None:
+            assert [list(g.items()) for g in autos] == [list(g.items()) for g in expected], name
+        results.add(autos is None)
+    if group == "planted":
+        assert results == {True, False}
+
+
 @pytest.mark.parametrize("h", [*SMALL.values(), *BASED.values()], ids=[*SMALL, *BASED])
 def test_core_orders_are_orbit_leaders(h):
     # The walk drops a prefix when a link stops being a word pattern or

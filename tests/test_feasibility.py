@@ -8,8 +8,10 @@ import geodesic.feasibility as feasibility
 from fm_oracle import fm_feasible
 from test_decider import NONMETRIC_6V_8T
 from geodesic.constructions import c4_based_metric
-from geodesic.decider import clear_decision_cache, decide_metric
+from geodesic.decider import _Search, clear_decision_cache, decide_metric
 from geodesic.feasibility import (
+    LOWER_BOUND,
+    START,
     FeasibilitySystem,
     build_feasibility_system,
     partial_feasibility_system,
@@ -149,6 +151,75 @@ class TestSolverAgainstEliminationOracle:
         assert w is not None
         assert isinstance(w[(0, 1)], Fraction)
         assert w[(0, 1)] + w[(0, 2)] == w[(1, 2)]
+
+
+F = Fraction
+TIGHT = Hypergraph3.from_triples(3, [(0, 1, 2)])  # x01 + x12 - x02 = 0 with middle 1
+EMPTY = Hypergraph3(3, frozenset())  # three strict rows, x01 + x02 - x12 >= 1 first
+
+
+# Each case: a system, a vertex y of the solver (x = START + y over the
+# variables (0,1), (0,2), (1,2)) that meets one row or bound of it exactly,
+# over the common denominator L = 5, 7 or 3, and the same vertex one unit
+# of 1/L off on that row or bound.
+WITNESS_CONTROLS = {
+    "equality": (
+        build_feasibility_system(TIGHT, {(0, 1, 2): 1}),
+        [F(1, 5), START + F(1, 5), 0],
+        [F(1, 5), START, 0],
+        "violating an equality",
+    ),
+    "strict-row": (
+        build_feasibility_system(EMPTY, {}),
+        [0, F(1, 7), START - 1 + F(1, 7)],  # x01 + x02 - x12 = 1, scaled L
+        [0, F(1, 7), START - 1 + F(2, 7)],  # scaled L - 1
+        "violating an inequality",
+    ),
+    "bound": (
+        build_feasibility_system(TIGHT, {(0, 1, 2): 1}),
+        [LOWER_BOUND - START, LOWER_BOUND + F(4, 3) - START, F(4, 3) - START],  # x01 = LOWER_BOUND
+        [LOWER_BOUND - F(1, 3) - START, LOWER_BOUND + 1 - START, F(4, 3) - START],
+        "below the lower bound",
+    ),
+}
+
+
+class TestWitnessCheck:
+    """The integer check of a witness rejects a vertex one unit of 1/L off
+    the row or bound it meets exactly, and accepts the exact one."""
+
+    @pytest.mark.parametrize("case", WITNESS_CONTROLS)
+    def test_vertex_one_unit_off_is_rejected(self, monkeypatch, case):
+        system, exact, off, message = WITNESS_CONTROLS[case]
+        monkeypatch.setattr(feasibility, "solve_nonneg_feasibility", lambda *args: list(map(F, exact)))
+        assert solve_exact_feasibility(system) == {p: START + y for p, y in zip(system.variables, exact)}
+        monkeypatch.setattr(feasibility, "solve_nonneg_feasibility", lambda *args: list(map(F, off)))
+        with pytest.raises(AssertionError, match=message):
+            solve_exact_feasibility(system)
+
+    def test_returned_values_are_the_solver_vertex_shifted(self, monkeypatch):
+        h = based_hypergraph(cycle_graph(5))
+        system = build_feasibility_system(h, {t: middle(decide_metric(h).witness.dist, *t) for t in h.triples})
+        vertices = []
+        solve = feasibility.solve_nonneg_feasibility
+        monkeypatch.setattr(feasibility, "solve_nonneg_feasibility", lambda *args: vertices.append(solve(*args)) or vertices[-1])
+        witness = solve_exact_feasibility(system)
+        assert witness == {p: START + y for p, y in zip(system.variables, vertices[0])}
+        assert all(type(v) is Fraction for v in witness.values())
+
+    @pytest.mark.parametrize(
+        "h, solution, message",
+        [
+            # d(0,2) exceeds d(0,1) + d(1,2) by 1/7: no metric
+            (EMPTY, {(0, 1): F(1), (1, 2): F(1), (0, 2): F(15, 7)}, "no metric"),
+            # a metric, but 1 lies between 0 and 2 where h has no hyperedge
+            (EMPTY, {(0, 1): F(1), (1, 2): F(1, 3), (0, 2): F(4, 3)}, "wrong hypergraph"),
+        ],
+        ids=["non-metric", "wrong-hypergraph"],
+    )
+    def test_search_witness_check_is_an_engine_bug(self, h, solution, message):
+        with pytest.raises(AssertionError, match=f"{message}.*engine bug"):
+            _Search(h)._witness(solution)
 
 
 def _dense_solve_nonneg_feasibility(num_vars, equalities, inequalities):

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import random
 import re
 from fractions import Fraction
 
@@ -13,11 +15,14 @@ from geodesic.hypergraphs import (
     path_graph,
 )
 from geodesic.metric import (
+    AxiomViolation,
     Betweenness,
+    MetricSpace,
     MetricValidationError,
     betweenness_triples,
     check_menger,
     check_meq,
+    find_axiom_violations,
     hypergraph_of,
     induced_subspace,
     line,
@@ -26,6 +31,7 @@ from geodesic.metric import (
     recover_linear_order,
     validate_metric,
 )
+from geodesic.serialization import metric_to_dict
 
 F = Fraction
 
@@ -307,3 +313,139 @@ class TestCheckMeq:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             check_meq(c4_based_metric(), ["a", "b"], graph_equivalence(cycle_graph(4)))
+
+
+def _rational_chart(rng):
+    """A seeded chart on 3-9 points, entries with denominators 1-12: the L1
+    distances of points in the plane (many tight triangles, coincident
+    points give zeros), points on a line, or symmetric random entries
+    (triangle violations), then maybe a nonzero diagonal entry, an
+    asymmetric pair, a nonpositive pair and a stretched pair."""
+    n = rng.randint(3, 9)
+
+    def q(top):
+        den = rng.randint(1, 12)
+        return F(rng.randint(0, top * den), den)
+
+    kind = rng.randrange(3)
+    if kind == 0:
+        at = [(q(3), q(3)) for _ in range(n)]
+        dist = [[abs(a[0] - b[0]) + abs(a[1] - b[1]) for b in at] for a in at]
+    elif kind == 1:
+        at = [q(6) for _ in range(n)]
+        dist = [[abs(a - b) for b in at] for a in at]
+    else:
+        dist = [[F(0)] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            dist[i][j] = dist[j][i] = q(4) + F(1, 12)
+    pairs = list(itertools.permutations(range(n), 2))
+    if rng.random() < 0.25:
+        i = rng.randrange(n)
+        dist[i][i] = q(2)
+    if rng.random() < 0.25:
+        i, j = rng.choice(pairs)
+        dist[i][j] += F(rng.choice((-1, 1)), rng.randint(1, 12))
+    if rng.random() < 0.25:
+        i, j = rng.choice(pairs)
+        dist[i][j] = dist[j][i] = -q(2)
+    if rng.random() < 0.25:
+        i, j = rng.choice(pairs)
+        dist[i][j] = dist[j][i] = 3 * dist[i][j] + F(1, rng.randint(1, 12))
+    return [f"p{i}" for i in range(n)], dist
+
+
+# The Fraction-arithmetic reference for the integer-image comparisons.
+
+
+def _reference_violations(points, dist):
+    n = len(points)
+    out = []
+    for i in range(n):
+        if dist[i][i] != 0:
+            out.append(AxiomViolation("nonzero-diagonal", (points[i],), f"d={dist[i][i]}"))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dist[i][j] != dist[j][i]:
+                out.append(AxiomViolation("asymmetry", (points[i], points[j])))
+            if dist[i][j] <= 0:
+                out.append(AxiomViolation("nonpositive", (points[i], points[j]), f"d={dist[i][j]}"))
+    for i, j, k in itertools.permutations(range(n), 3):
+        if i < k and dist[i][j] + dist[j][k] < dist[i][k]:
+            out.append(AxiomViolation("triangle", (points[i], points[j], points[k])))
+    return out
+
+
+def _reference_middle(dist, i, j, k):
+    if dist[i][j] + dist[j][k] == dist[i][k]:
+        return j
+    if dist[i][j] + dist[i][k] == dist[j][k]:
+        return i
+    if dist[i][k] + dist[j][k] == dist[i][j]:
+        return k
+    return None
+
+
+def _reference_line(points, dist, a, b):
+    return frozenset(
+        {points[a], points[b]}
+        | {z for k, z in enumerate(points) if k not in (a, b) and _reference_middle(dist, a, b, k) is not None}
+    )
+
+
+CHART_BATCHES = 20
+CHARTS_PER_BATCH = 15
+
+
+class TestIntegerImageMatchesFractions:
+    """Every comparison on the integer image gives what the same
+    comparison gives on the Fractions, on valid and invalid charts."""
+
+    @pytest.mark.parametrize("batch", range(CHART_BATCHES))
+    def test_seeded_rational_charts(self, batch):
+        rng = random.Random(batch)
+        for _ in range(CHARTS_PER_BATCH):
+            points, dist = _rational_chart(rng)
+            expected = _reference_violations(points, dist)
+            assert find_axiom_violations(points, dist) == expected
+            # unvalidated, so the image is computed lazily
+            spaces = [MetricSpace(tuple(points), tuple(map(tuple, dist)))]
+            if not expected:
+                spaces.append(validate_metric(points, dist))
+            n = len(points)
+            subset = rng.sample(range(n), rng.randint(2, n))
+            lines = {}
+            for a, b in itertools.combinations(range(len(subset)), 2):
+                lines.setdefault(_reference_line(points, dist, subset[a], subset[b]), set()).add((a, b))
+            for m in spaces:
+                middles = {t: _reference_middle(dist, *t) for t in itertools.combinations(range(n), 3)}
+                assert hypergraph_of(m).triples == {t for t, v in middles.items() if v is not None}
+                assert betweenness_triples(m) == {
+                    Betweenness(*(points[x] for x in (min(set(t) - {v}), v, max(set(t) - {v}))))
+                    for t, v in middles.items()
+                    if v is not None
+                }
+                partition = line_partition(m, [points[i] for i in subset])
+                assert partition.blocks == {frozenset(pairs) for pairs in lines.values()}
+
+    def test_charts_cover_every_violation_kind(self):
+        kinds = set()
+        tight = 0
+        for batch in range(CHART_BATCHES):
+            rng = random.Random(batch)
+            for _ in range(CHARTS_PER_BATCH):
+                points, dist = _rational_chart(rng)
+                violations = _reference_violations(points, dist)
+                kinds |= {v.kind for v in violations}
+                tight += not violations and bool(hypergraph_of(validate_metric(points, dist)).triples)
+        assert kinds == {"asymmetry", "nonzero-diagonal", "nonpositive", "triangle"}
+        assert tight >= 50
+
+    def test_image_is_no_field(self):
+        m = validate_metric(["a", "b", "c"], [[0, "1/3", "5/6"], ["1/3", 0, "1/2"], ["5/6", "1/2", 0]])
+        fresh = MetricSpace(m.points, m.dist)
+        assert "_scaled" in vars(m) and "_scaled" not in vars(fresh)
+        assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+        assert metric_to_dict(m) == metric_to_dict(fresh)
+        assert [f.name for f in dataclasses.fields(m)] == ["points", "dist"]
+        assert fresh._scaled == m._scaled == ((0, 2, 5), (2, 0, 3), (5, 3, 0))
+        assert hypergraph_of(fresh).triples == {(0, 1, 2)}
