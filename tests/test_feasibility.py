@@ -1,9 +1,13 @@
+import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import geodesic.decider as decider
 import geodesic.feasibility as feasibility
 from fm_oracle import fm_feasible
 from test_decider import NONMETRIC_6V_8T
@@ -184,6 +188,31 @@ WITNESS_CONTROLS = {
 }
 
 
+def _based_c5_system():
+    h = based_hypergraph(cycle_graph(5))
+    return build_feasibility_system(h, {t: middle(decide_metric(h).witness.dist, *t) for t in h.triples})
+
+
+def _oriented(n, middles):
+    return build_feasibility_system(Hypergraph3.from_triples(n, middles), middles)
+
+
+# Systems that row generation decides in one, two and three rounds, with
+# their verdicts: a builder, the number of rounds, feasible or not.
+ROUND_CASES = {
+    # the equality-only vertex already meets every strict row
+    "based-C5": (_based_c5_system, 1, True),
+    "4v-two-rounds": (lambda: _oriented(4, {(1, 2, 3): 3}), 2, True),
+    "4v-two-rounds-infeasible": (lambda: _oriented(4, {(0, 1, 2): 1, (0, 1, 3): 1, (0, 2, 3): 2}), 2, False),
+    "4v-three-rounds-infeasible": (lambda: _oriented(4, {(0, 1, 2): 1, (0, 1, 3): 3}), 3, False),
+    "5v-three-rounds": (
+        lambda: _oriented(5, {(0, 1, 3): 3, (0, 1, 4): 0, (0, 2, 3): 3, (0, 2, 4): 4, (0, 3, 4): 0, (1, 3, 4): 3}),
+        3,
+        True,
+    ),
+}
+
+
 class TestWitnessCheck:
     """The integer check of a witness rejects a vertex one unit of 1/L off
     the row or bound it meets exactly, and accepts the exact one."""
@@ -198,13 +227,17 @@ class TestWitnessCheck:
             solve_exact_feasibility(system)
 
     def test_returned_values_are_the_solver_vertex_shifted(self, monkeypatch):
-        h = based_hypergraph(cycle_graph(5))
-        system = build_feasibility_system(h, {t: middle(decide_metric(h).witness.dist, *t) for t in h.triples})
+        # The equality-only vertex violates a strict row, so a second round
+        # solves again, and the witness is that round's vertex.
+        system = ROUND_CASES["4v-two-rounds"][0]()
         vertices = []
         solve = feasibility.solve_nonneg_feasibility
         monkeypatch.setattr(feasibility, "solve_nonneg_feasibility", lambda *args: vertices.append(solve(*args)) or vertices[-1])
         witness = solve_exact_feasibility(system)
-        assert witness == {p: START + y for p, y in zip(system.variables, vertices[0])}
+        assert len(vertices) == 2
+        first, last = ({p: START + y for p, y in zip(system.variables, v)} for v in vertices)
+        assert any(first[a] + first[b] - first[c] < 1 for a, b, c in system.inequalities)
+        assert witness == last
         assert all(type(v) is Fraction for v in witness.values())
 
     @pytest.mark.parametrize(
@@ -340,24 +373,32 @@ def _assert_paper_leaf_systems_match(monkeypatch):
         systems.append((nv, eqs, ineqs))
         return solve(nv, eqs, ineqs)
 
+    leaves = []
+
+    def solve_leaf(system):
+        leaves.append(solve_exact_feasibility(system))
+        return leaves[-1]
+
     # Based C7 and C9 are decided by a chart, with no LP: their leaf
     # systems are built from the middles of their witnesses.  The seven
     # infeasible leaves of the 6-vertex instance are recorded as it is
-    # decided.
+    # decided.  Every round of every leaf's row generation is compared.
     monkeypatch.setattr(feasibility, "solve_nonneg_feasibility", record)
+    monkeypatch.setattr(decider, "solve_exact_feasibility", solve_leaf)
     clear_decision_cache()
     try:
         for n in (7, 9):
             h = based_hypergraph(cycle_graph(n))
             dist = decide_metric(h).witness.dist
-            solve_exact_feasibility(build_feasibility_system(h, {t: middle(dist, *t) for t in h.triples}))
+            solve_leaf(build_feasibility_system(h, {t: middle(dist, *t) for t in h.triples}))
         decide_metric(NONMETRIC_6V_8T)
     finally:
         clear_decision_cache()
-    results = [solve(*system) for system in systems]
-    assert [y is None for y in results] == [False, False] + [True] * 7
-    for system, y in zip(systems, results):
-        assert y == _dense_solve_nonneg_feasibility(*system)
+    assert [w is None for w in leaves] == [False, False] + [True] * 7
+    # C7 and C9 stop in one round, each 6-vertex leaf in two
+    assert len(systems) == 2 + 2 * 7
+    for system in systems:
+        assert solve(*system) == _dense_solve_nonneg_feasibility(*system)
 
 
 # The Bland fallback never fires on the paper's leaves (their degenerate
@@ -399,3 +440,98 @@ class TestSparseSolverMatchesDense:
     def test_paper_leaf_systems_fallback_forced(self, monkeypatch, bland_after):
         monkeypatch.setattr(feasibility, "BLAND_AFTER", bland_after)
         _assert_paper_leaf_systems_match(monkeypatch)
+
+
+def _all_rows_lp(system):
+    """The whole of ``system`` as one solver LP, every strict row in it,
+    over ``y = x - LOWER_BOUND >= 0``: an equality ``a + b - c = 0`` reads
+    ``y_a + y_b - y_c = -LOWER_BOUND``, a strict row ``>= 1 - LOWER_BOUND``."""
+    index = {p: i for i, p in enumerate(system.variables)}
+
+    def row(constraint, rhs):
+        coeffs = [0] * len(index)
+        a, b, c = constraint
+        coeffs[index[a]] += 1
+        coeffs[index[b]] += 1
+        coeffs[index[c]] -= 1
+        return coeffs, rhs - LOWER_BOUND
+
+    eqs = [row(c, 0) for c in system.equalities]
+    ineqs = [row(c, 1) for c in system.inequalities]
+    return len(index), eqs, ineqs
+
+
+def _assert_agrees_with_all_rows(system):
+    witness = solve_exact_feasibility(system)
+    assert (witness is None) == (solve_nonneg_feasibility(*_all_rows_lp(system)) is None), system
+    return witness
+
+
+@st.composite
+def _oriented_systems(draw, min_n, max_n):
+    """A random hypergraph on ``min_n..max_n`` vertices with a random middle
+    in each hyperedge, as its leaf system."""
+    n = draw(st.integers(min_n, max_n))
+    triples = [t for t in itertools.combinations(range(n), 3) if draw(st.booleans())]
+    return _oriented(n, {t: draw(st.sampled_from(t)) for t in triples})
+
+
+def _random_n7_leaf_systems():
+    """The leaf systems met while deciding the benchmark's ``random-n7`` pool."""
+    table = json.loads((Path(__file__).resolve().parent.parent / "bench" / "data" / "random_n7.json").read_text())
+    triples = list(itertools.combinations(range(table["n"]), 3))
+    systems = []
+    solve = decider.solve_exact_feasibility
+    clear_decision_cache()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(decider, "solve_exact_feasibility", lambda system: systems.append(system) or solve(system))
+        try:
+            for entry in table["instances"]:
+                h = Hypergraph3.from_triples(table["n"], [t for i, t in enumerate(triples) if entry["mask"] >> i & 1])
+                assert decide_metric(h).metric is entry["metric"]
+        finally:
+            clear_decision_cache()
+    return systems
+
+
+class TestRowGeneration:
+    """Row generation decides a leaf system as the LP over all its rows
+    does: it solves relaxations, so only the verdict can be compared."""
+
+    def test_random_n7_leaf_systems_agree_with_all_rows(self):
+        systems = _random_n7_leaf_systems()
+        verdicts = [_assert_agrees_with_all_rows(system) is not None for system in systems]
+        assert len(systems) == 64 and 0 < sum(verdicts) < 64
+
+    @settings(max_examples=150, deadline=None)
+    @given(_oriented_systems(4, 6))
+    def test_drawn_orientations_agree_with_all_rows(self, system):
+        _assert_agrees_with_all_rows(system)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_oriented_systems(3, 4))
+    def test_drawn_orientations_agree_with_elimination_oracle(self, system):
+        witness = _assert_agrees_with_all_rows(system)
+        assert (witness is not None) == fm_feasible(*_all_rows_lp(system))
+
+    @pytest.mark.parametrize("case", ROUND_CASES)
+    def test_pinned_round_counts(self, monkeypatch, case):
+        build, rounds, feasible = ROUND_CASES[case]
+        system = build()
+        strict_rows = _all_rows_lp(system)[2]
+        lps = []
+        solve = feasibility.solve_nonneg_feasibility
+        monkeypatch.setattr(feasibility, "solve_nonneg_feasibility", lambda *lp: lps.append(lp) or solve(*lp))
+        witness = solve_exact_feasibility(system)
+        assert len(lps) == rounds and (witness is not None) is feasible
+        # Each round keeps the last round's strict rows and adds some, all
+        # in system order; the equalities stay the same.  The solver's rows
+        # are shifted by START, where _all_rows_lp's are by LOWER_BOUND.
+        shift = START - LOWER_BOUND
+        positions = [[strict_rows.index((coeffs, rhs + shift)) for coeffs, rhs in lp[2]] for lp in lps]
+        assert positions[0] == []
+        for before, after in zip(positions, positions[1:]):
+            assert after == sorted(after) and set(before) < set(after)
+        assert all(lp[:2] == lps[0][:2] for lp in lps)
+        if system.n <= 4:
+            assert fm_feasible(*_all_rows_lp(system)) is feasible
